@@ -12,10 +12,10 @@
 //! and to support the latency ablation in the benchmarks.
 
 use std::collections::HashMap;
-use std::hash::Hash;
 
-use asym_quorum::{AsymQuorumSystem, ProcessId, ProcessSet};
+use asym_quorum::{AsymQuorumSystem, ProcessId};
 
+use crate::tally::Tally;
 use crate::{Delivery, Tag};
 
 /// Wire messages of consistent broadcast.
@@ -41,14 +41,14 @@ pub enum CbcastMsg<T> {
 
 #[derive(Clone, Debug)]
 struct Instance<T> {
-    echoes: HashMap<T, ProcessSet>,
+    echoes: Tally<T>,
     sent_echo: bool,
     delivered: bool,
 }
 
 impl<T> Default for Instance<T> {
     fn default() -> Self {
-        Instance { echoes: HashMap::new(), sent_echo: false, delivered: false }
+        Instance { echoes: Tally::default(), sent_echo: false, delivered: false }
     }
 }
 
@@ -63,7 +63,7 @@ pub struct ConsistentHub<T> {
     originated: std::collections::HashSet<Tag>,
 }
 
-impl<T: Clone + Eq + Hash + core::fmt::Debug> ConsistentHub<T> {
+impl<T: Clone + Eq + core::fmt::Debug> ConsistentHub<T> {
     /// Creates a hub for process `me` under the given asymmetric quorum
     /// system.
     pub fn new(me: ProcessId, quorums: AsymQuorumSystem) -> Self {
@@ -102,8 +102,7 @@ impl<T: Clone + Eq + Hash + core::fmt::Debug> ConsistentHub<T> {
             }
             CbcastMsg::Echo { origin, tag, value } => {
                 let inst = self.instances.entry((origin, tag)).or_default();
-                let echoers = inst.echoes.entry(value.clone()).or_default();
-                echoers.insert(from);
+                let echoers = inst.echoes.add(&value, from);
                 if !inst.delivered && self.quorums.contains_quorum_for(self.me, echoers) {
                     inst.delivered = true;
                     delivered.push(Delivery { origin, tag, value });
@@ -165,6 +164,44 @@ mod tests {
                 h.on_message(pid(i), CbcastMsg::Echo { origin: pid(3), tag: 0, value: v });
             assert!(del.is_empty());
         }
+    }
+
+    /// A value whose every construction is a fresh allocation.
+    fn fresh(v: &[u32]) -> std::sync::Arc<[u32]> {
+        v.into()
+    }
+
+    fn shared_hub(i: usize) -> ConsistentHub<std::sync::Arc<[u32]>> {
+        ConsistentHub::new(pid(i), topology::uniform_threshold(4, 1).quorums)
+    }
+
+    #[test]
+    fn separately_allocated_equal_values_share_one_tally() {
+        let mut h = shared_hub(0);
+        let echo = |v| CbcastMsg::Echo { origin: pid(3), tag: 0, value: v };
+        assert!(h.on_message(pid(0), echo(fresh(&[4]))).1.is_empty());
+        assert!(h.on_message(pid(1), echo(fresh(&[4]))).1.is_empty());
+        // The third copy completes a quorum: delivery at the same count as
+        // for a single shared allocation.
+        let (_, del) = h.on_message(pid(2), echo(fresh(&[4])));
+        assert_eq!(del, vec![Delivery { origin: pid(3), tag: 0, value: fresh(&[4]) }]);
+    }
+
+    #[test]
+    fn an_equivocating_echoer_counts_under_every_value_it_sent() {
+        let mut h = shared_hub(0);
+        let echo = |from: usize, v: &[u32]| {
+            (pid(from), CbcastMsg::Echo { origin: pid(3), tag: 0, value: fresh(v) })
+        };
+        for (f, m) in [echo(0, &[1]), echo(1, &[1]), echo(1, &[2]), echo(2, &[2])] {
+            assert!(h.on_message(f, m).1.is_empty());
+        }
+        let (f, m) = echo(3, &[2]);
+        let (_, del) = h.on_message(f, m);
+        assert_eq!(del, vec![Delivery { origin: pid(3), tag: 0, value: fresh(&[2]) }]);
+        // Delivered once: a later quorum for the other value is ignored.
+        let (f, m) = echo(2, &[1]);
+        assert!(h.on_message(f, m).1.is_empty());
     }
 
     #[test]

@@ -33,6 +33,7 @@ mod cb_process;
 mod consistent;
 mod process;
 mod reliable;
+mod tally;
 
 pub use cb_process::{CbProcess, EquivocatingCbSender};
 pub use consistent::{CbcastMsg, ConsistentHub};

@@ -21,9 +21,10 @@
 //! DAG protocols the tag is the round number).
 
 use std::collections::HashMap;
-use std::hash::Hash;
 
-use asym_quorum::{AsymQuorumSystem, ProcessId, ProcessSet};
+use asym_quorum::{AsymQuorumSystem, ProcessId};
+
+use crate::tally::Tally;
 
 /// Instance tag: distinguishes broadcasts by the same origin (e.g. the DAG
 /// round number).
@@ -76,9 +77,9 @@ pub struct Delivery<T> {
 #[derive(Clone, Debug)]
 struct Instance<T> {
     /// Who echoed which value.
-    echoes: HashMap<T, ProcessSet>,
+    echoes: Tally<T>,
     /// Who sent READY for which value.
-    readies: HashMap<T, ProcessSet>,
+    readies: Tally<T>,
     sent_echo: bool,
     sent_ready: bool,
     delivered: bool,
@@ -87,8 +88,8 @@ struct Instance<T> {
 impl<T> Default for Instance<T> {
     fn default() -> Self {
         Instance {
-            echoes: HashMap::new(),
-            readies: HashMap::new(),
+            echoes: Tally::default(),
+            readies: Tally::default(),
             sent_echo: false,
             sent_ready: false,
             delivered: false,
@@ -123,7 +124,7 @@ pub struct BroadcastHub<T> {
     originated: std::collections::HashSet<Tag>,
 }
 
-impl<T: Clone + Eq + Hash + core::fmt::Debug> BroadcastHub<T> {
+impl<T: Clone + Eq + core::fmt::Debug> BroadcastHub<T> {
     /// Creates a hub for process `me` under the given asymmetric quorum
     /// system.
     pub fn new(me: ProcessId, quorums: AsymQuorumSystem) -> Self {
@@ -177,8 +178,7 @@ impl<T: Clone + Eq + Hash + core::fmt::Debug> BroadcastHub<T> {
             }
             BcastMsg::Echo { origin, tag, value } => {
                 let inst = self.instances.entry((origin, tag)).or_default();
-                let echoers = inst.echoes.entry(value.clone()).or_default();
-                echoers.insert(from);
+                let echoers = inst.echoes.add(&value, from);
                 // READY once a quorum of mine echoed the same value.
                 if !inst.sent_ready && self.quorums.contains_quorum_for(self.me, echoers) {
                     inst.sent_ready = true;
@@ -187,8 +187,7 @@ impl<T: Clone + Eq + Hash + core::fmt::Debug> BroadcastHub<T> {
             }
             BcastMsg::Ready { origin, tag, value } => {
                 let inst = self.instances.entry((origin, tag)).or_default();
-                let readiers = inst.readies.entry(value.clone()).or_default();
-                readiers.insert(from);
+                let readiers = inst.readies.add(&value, from);
                 // Amplification: READY after a kernel of READYs.
                 if !inst.sent_ready && self.quorums.hits_kernel_for(self.me, readiers) {
                     inst.sent_ready = true;
@@ -300,6 +299,64 @@ mod tests {
         let (f, m) = ready(0);
         let (_, del) = h.on_message(f, m);
         assert!(del.is_empty());
+    }
+
+    /// A value whose every construction is a fresh allocation, like a
+    /// vertex rebuilt from a WAL, a fetch reply or a Byzantine forgery.
+    fn fresh(v: &[u32]) -> std::sync::Arc<[u32]> {
+        v.into()
+    }
+
+    fn shared_hub(i: usize) -> BroadcastHub<std::sync::Arc<[u32]>> {
+        BroadcastHub::new(pid(i), topology::uniform_threshold(4, 1).quorums)
+    }
+
+    #[test]
+    fn separately_allocated_equal_values_share_one_tally() {
+        let mut h = shared_hub(0);
+        let echo = |v| BcastMsg::Echo { origin: pid(3), tag: 0, value: v };
+        assert!(h.on_message(pid(0), echo(fresh(&[1, 2]))).0.is_empty());
+        assert!(h.on_message(pid(1), echo(fresh(&[1, 2]))).0.is_empty());
+        // Three distinct allocations, one content: a quorum of echoes.
+        let (out, _) = h.on_message(pid(2), echo(fresh(&[1, 2])));
+        assert_eq!(out, vec![BcastMsg::Ready { origin: pid(3), tag: 0, value: fresh(&[1, 2]) }]);
+    }
+
+    #[test]
+    fn an_equivocating_echoer_counts_under_every_value_it_sent() {
+        let mut h = shared_hub(0);
+        let echo = |from: usize, v: &[u32]| {
+            (pid(from), BcastMsg::Echo { origin: pid(3), tag: 0, value: fresh(v) })
+        };
+        for (f, m) in [echo(0, &[1]), echo(1, &[1]), echo(1, &[2]), echo(2, &[2])] {
+            assert!(h.on_message(f, m).0.is_empty(), "no value has a quorum of echoes yet");
+        }
+        // p1 echoed both values; its vote still completes {1, 2, 3} for [2].
+        let (f, m) = echo(3, &[2]);
+        let (out, _) = h.on_message(f, m);
+        assert_eq!(out, vec![BcastMsg::Ready { origin: pid(3), tag: 0, value: fresh(&[2]) }]);
+        // Already READY: a later quorum for [1] sends nothing more.
+        let (f, m) = echo(2, &[1]);
+        assert!(h.on_message(f, m).0.is_empty());
+    }
+
+    #[test]
+    fn amplification_and_delivery_thresholds_hold_across_allocations() {
+        let mut h = shared_hub(0);
+        let ready = |from: usize| {
+            (pid(from), BcastMsg::Ready { origin: pid(3), tag: 0, value: fresh(&[7, 8]) })
+        };
+        // Kernel of threshold(4, q=3) is 2 READYs; a quorum is 3.
+        let (f, m) = ready(1);
+        assert_eq!(h.on_message(f, m), (vec![], vec![]));
+        let (f, m) = ready(2);
+        let (out, del) = h.on_message(f, m);
+        assert_eq!(out, vec![BcastMsg::Ready { origin: pid(3), tag: 0, value: fresh(&[7, 8]) }]);
+        assert!(del.is_empty());
+        let (f, m) = ready(3);
+        let (out, del) = h.on_message(f, m);
+        assert!(out.is_empty());
+        assert_eq!(del, vec![Delivery { origin: pid(3), tag: 0, value: fresh(&[7, 8]) }]);
     }
 
     #[test]

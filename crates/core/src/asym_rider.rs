@@ -271,14 +271,14 @@ impl AsymDagRider {
             return;
         }
         self.core.metrics_mut().waves_attempted += 1;
-        let quorums = self.quorums.clone();
+        let quorums = &self.quorums;
         let mut out = Vec::new();
         let commits_before = self.committer.log().len();
         let outcome = self.committer.wave_ready(
             self.core.dag(),
             &self.coin,
             w,
-            |dag, leader| Self::commit_rule(&quorums, dag, leader),
+            |dag, leader| Self::commit_rule(quorums, dag, leader),
             &mut out,
         );
         match outcome {
@@ -684,11 +684,10 @@ impl AsymDagRider {
             self.transfer.vote(from, seg);
         }
         let me = self.core.me();
-        let quorums = self.quorums.clone();
         let mut installed_any = false;
         loop {
             let decided = self.committer.decided_wave();
-            let Some(seg) = self.transfer.take_ready(decided, &quorums, me) else {
+            let Some(seg) = self.transfer.take_ready(decided, &self.quorums, me) else {
                 break;
             };
             let fresh = self.committer.install_wave(seg.wave, seg.leader, &seg.deliveries);
@@ -803,7 +802,7 @@ impl Protocol for AsymDagRider {
             AsymRiderMsg::Arb(inner) => {
                 // Line 140: accept a vertex only if its strong edges contain
                 // a quorum of some process's quorum system.
-                let quorums = self.quorums.clone();
+                let quorums = &self.quorums;
                 let (out, fresh) = self.core.handle_arb(from, inner, |v| {
                     quorums.contains_quorum_for_any(v.strong_edges()).is_some()
                 });
@@ -998,7 +997,7 @@ mod tests {
         let t = topology::uniform_threshold(4, 1);
         let outputs = run_and_check(&t, &[], 11, 8);
         for (i, out) in outputs.iter().enumerate() {
-            let txs: Vec<u64> = out.iter().flat_map(|o| o.block.txs.clone()).collect();
+            let txs: Vec<u64> = out.iter().flat_map(|o| o.block.txs.iter().copied()).collect();
             for tx in 7000..7004 {
                 assert!(txs.contains(&tx), "process {i} missing tx {tx}: {txs:?}");
             }

@@ -437,7 +437,7 @@ mod tests {
         assert_eq!(msgs.len(), 1, "one SEND to all");
         assert_eq!(c.round(), 1);
         let own = c.dag().get(VertexId::new(1, pid(0))).expect("own vertex stored");
-        assert_eq!(own.block().txs, vec![42]);
+        assert_eq!(*own.block().txs, [42]);
         assert_eq!(own.strong_edges().len(), 4, "references all genesis vertices");
         assert_eq!(c.metrics().vertices_created, 1);
     }

@@ -227,7 +227,7 @@ mod tests {
         assert!(sim.run(10_000_000).quiescent);
         for i in 0..4 {
             let delivered: Vec<u64> =
-                sim.outputs(pid(i)).iter().flat_map(|o| o.block.txs.clone()).collect();
+                sim.outputs(pid(i)).iter().flat_map(|o| o.block.txs.iter().copied()).collect();
             for tx in 1000..1004 {
                 assert!(delivered.contains(&tx), "process {i} missing tx {tx}");
             }

@@ -306,7 +306,7 @@ mod tests {
         xfer.vote(pid(1), segment(1, 7));
         xfer.vote(pid(2), segment(1, 7));
         let ready = xfer.take_ready(0, &t.quorums, pid(0)).expect("honest kernel");
-        assert_eq!(ready.deliveries[0].1.txs, vec![7], "the forged copy must not be installed");
+        assert_eq!(*ready.deliveries[0].1.txs, [7], "the forged copy must not be installed");
     }
 
     #[test]
@@ -340,7 +340,7 @@ mod tests {
         xfer.vote(pid(2), segment(1, 7));
         assert_eq!(xfer.pending_waves(), TransferState::MAX_PENDING_WAVES);
         let ready = xfer.take_ready(0, &t.quorums, pid(0)).expect("lowest wave installable");
-        assert_eq!(ready.deliveries[0].1.txs, vec![7]);
+        assert_eq!(*ready.deliveries[0].1.txs, [7]);
     }
 
     #[test]

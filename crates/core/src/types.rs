@@ -1,6 +1,8 @@
 //! Shared vocabulary of the consensus protocols: blocks, ordered outputs,
 //! configuration and per-process metrics.
 
+use std::sync::Arc;
+
 use asym_dag::{Round, VertexId, WaveId};
 
 /// An opaque transaction identifier (simulation-level payload).
@@ -10,16 +12,23 @@ pub type Tx = u64;
 ///
 /// `aa-broadcast` enqueues blocks; each new vertex packs the oldest queued
 /// block (or an empty one, see [`RiderConfig::allow_empty_blocks`]).
+///
+/// The payload is immutable and shared: cloning a block (and hence a vertex,
+/// a broadcast message or an ordered output) increments a reference count
+/// instead of copying the transactions, so every copy of one broadcast
+/// block — in flight, in broadcast tallies, in the DAG and in the outputs —
+/// is the same allocation. Equality, hashing, `Debug` and [`Block::encode`]
+/// all go by content, exactly as for a `Vec<Tx>`.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Block {
     /// The transactions in this block.
-    pub txs: Vec<Tx>,
+    pub txs: Arc<[Tx]>,
 }
 
 impl Block {
     /// Creates a block from transactions.
     pub fn new(txs: Vec<Tx>) -> Self {
-        Block { txs }
+        Block { txs: txs.into() }
     }
 
     /// `true` for filler blocks with no transactions.
@@ -32,27 +41,29 @@ impl Block {
     /// Canonical byte encoding (little-endian transaction ids), for
     /// content digests.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 * self.txs.len());
-        for tx in &self.txs {
-            out.extend_from_slice(&tx.to_le_bytes());
-        }
+        let mut out = Vec::new();
+        asym_storage::BlockCodec::encode_block(self, &mut out);
         out
     }
 }
 
 impl asym_storage::BlockCodec for Block {
     fn encode_block(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.encode());
+        out.reserve(8 * self.txs.len());
+        for tx in self.txs.iter() {
+            out.extend_from_slice(&tx.to_le_bytes());
+        }
     }
 
     fn decode_block(bytes: &[u8]) -> Option<Self> {
         if !bytes.len().is_multiple_of(8) {
             return None;
         }
-        let mut txs = Vec::with_capacity(bytes.len() / 8);
-        for chunk in bytes.chunks_exact(8) {
-            txs.push(Tx::from_le_bytes(chunk.try_into().ok()?));
-        }
+        // One allocation, straight into the shared payload.
+        let txs = bytes
+            .chunks_exact(8)
+            .map(|chunk| Tx::from_le_bytes(chunk.try_into().expect("chunks_exact yields 8 bytes")))
+            .collect();
         Some(Block { txs })
     }
 }
@@ -141,6 +152,30 @@ mod tests {
         let b = Block::new(vec![1, 2, 3]);
         assert!(!b.is_empty());
         assert_eq!(b.txs.len(), 3);
+    }
+
+    #[test]
+    fn clones_share_the_payload() {
+        let b = Block::new(vec![1, 2, 3]);
+        let c = b.clone();
+        assert!(Arc::ptr_eq(&b.txs, &c.txs));
+        // Separately allocated copies still compare by content.
+        assert_eq!(b, Block::new(vec![1, 2, 3]));
+        assert_ne!(b, Block::new(vec![1, 2]));
+    }
+
+    #[test]
+    fn encoding_debug_and_hash_match_the_plain_vector() {
+        use std::hash::{BuildHasher, RandomState};
+        let txs = vec![1, 0x0102_0304_0506_0708, u64::MAX];
+        let b = Block::new(txs.clone());
+        let bytes: Vec<u8> = txs.iter().flat_map(|t| t.to_le_bytes()).collect();
+        assert_eq!(b.encode(), bytes);
+        assert_eq!(format!("{b:?}"), format!("Block {{ txs: {txs:?} }}"));
+        let s = RandomState::new();
+        assert_eq!(s.hash_one(&b), s.hash_one(&txs));
+        assert_eq!(<Block as asym_storage::BlockCodec>::decode_block(&bytes), Some(b));
+        assert_eq!(<Block as asym_storage::BlockCodec>::decode_block(&bytes[1..]), None);
     }
 
     #[test]

@@ -218,7 +218,7 @@ pub fn no_fabrication(o: &ScenarioOutcome) -> Result<(), String> {
                     .find(|(i, _)| *i == src.index())
                     .map(|(_, a)| a)
                     .expect("non-honest source must be a configured attacker");
-                for tx in &v.block.txs {
+                for tx in v.block.txs.iter() {
                     if !attack.injected_txs().contains(tx) {
                         return Err(format!(
                             "{p} ordered {} with tx {tx} not authored by the {attack} attack",
@@ -263,7 +263,7 @@ pub fn dag_no_fabrication(o: &ScenarioOutcome) -> Result<(), String> {
                         .find(|(i, _)| *i == src.index())
                         .map(|(_, a)| a)
                         .expect("non-honest source must be a configured attacker");
-                    for tx in &v.block().txs {
+                    for tx in v.block().txs.iter() {
                         if !attack.injected_txs().contains(tx) {
                             return Err(format!(
                                 "{p} stores {} with tx {tx} not authored by the {attack} attack",

@@ -115,7 +115,7 @@ impl ScenarioOutcome {
 
     /// Transactions delivered by a process, in order.
     pub fn delivered_txs(&self, p: ProcessId) -> Vec<u64> {
-        self.outputs[p.index()].iter().flat_map(|o| o.block.txs.clone()).collect()
+        self.outputs[p.index()].iter().flat_map(|o| o.block.txs.iter().copied()).collect()
     }
 
     /// The longest commit log across honest processes.
@@ -364,7 +364,8 @@ mod tests {
             assert!(out.dags[p.index()].is_some());
         }
         // The injected workload is recorded with globally unique tx ids.
-        let all: Vec<u64> = out.injected.iter().flatten().flat_map(|b| b.txs.clone()).collect();
+        let all: Vec<u64> =
+            out.injected.iter().flatten().flat_map(|b| b.txs.iter().copied()).collect();
         let unique: std::collections::HashSet<u64> = all.iter().copied().collect();
         assert_eq!(all.len(), unique.len());
     }

@@ -54,7 +54,7 @@ impl ClusterReport {
 
     /// Transactions delivered by a process, in order.
     pub fn delivered_txs(&self, p: ProcessId) -> Vec<u64> {
-        self.outputs[p.index()].iter().flat_map(|o| o.block.txs.clone()).collect()
+        self.outputs[p.index()].iter().flat_map(|o| o.block.txs.iter().copied()).collect()
     }
 
     /// Total committed transactions at the best-progressed process.

@@ -116,8 +116,10 @@ fn byzantine_process_lying_during_its_own_recovery_is_contained() {
         // everywhere (prefix_consistency compares blocks too); here we pin
         // the visible half: nobody delivered both 666 and 999.
         for p in &outcome.honest {
-            let txs: Vec<u64> =
-                outcome.outputs[p.index()].iter().flat_map(|o| o.block.txs.clone()).collect();
+            let txs: Vec<u64> = outcome.outputs[p.index()]
+                .iter()
+                .flat_map(|o| o.block.txs.iter().copied())
+                .collect();
             assert!(
                 !(txs.contains(&666) && txs.contains(&999)),
                 "{}: {p} delivered both equivocated copies",
@@ -241,7 +243,8 @@ fn pruned_and_unpruned_cells_agree_on_what_fault_free_processes_deliver() {
     // Pruning may change the restarted process's own weak edges, but the
     // delivered transaction sets of the run must not lose anything.
     let txs = |o: &ScenarioOutcome, i: usize| {
-        let mut t: Vec<u64> = o.outputs[i].iter().flat_map(|v| v.block.txs.clone()).collect();
+        let mut t: Vec<u64> =
+            o.outputs[i].iter().flat_map(|v| v.block.txs.iter().copied()).collect();
         t.sort_unstable();
         t
     };

@@ -189,7 +189,8 @@ fn validity_all_injected_blocks_ordered_eventually() {
     .blocks_per_process(3)
     .txs_per_block(2);
     let outcome = checks::run_and_check_all(&scenario).unwrap_or_else(|e| panic!("{e}"));
-    let all_txs: Vec<u64> = outcome.injected.iter().flatten().flat_map(|b| b.txs.clone()).collect();
+    let all_txs: Vec<u64> =
+        outcome.injected.iter().flatten().flat_map(|b| b.txs.iter().copied()).collect();
     assert_eq!(all_txs.len(), 4 * 3 * 2);
     for p in &outcome.correct {
         let delivered = outcome.delivered_txs(p);

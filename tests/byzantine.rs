@@ -61,7 +61,7 @@ fn bogus_strong_edges_are_rejected() {
         // (the dag_well_formed checker would also flag the latter).
         for p in &outcome.correct {
             for o in &outcome.outputs[p.index()] {
-                assert!(o.block.txs != vec![31337], "seed {seed}: invalid vertex ordered");
+                assert!(*o.block.txs != [31337], "seed {seed}: invalid vertex ordered");
             }
             let dag = outcome.dags[p.index()].as_ref().unwrap();
             assert!(
@@ -87,7 +87,7 @@ fn attacks_do_not_suppress_honest_blocks() {
     let honest_txs: Vec<u64> = outcome
         .correct
         .iter()
-        .flat_map(|p| outcome.injected[p.index()].iter().flat_map(|b| b.txs.clone()))
+        .flat_map(|p| outcome.injected[p.index()].iter().flat_map(|b| b.txs.iter().copied()))
         .collect();
     assert!(!honest_txs.is_empty());
     for p in &outcome.correct {
