@@ -1,8 +1,9 @@
 //! LAT-C / BASE: end-to-end consensus cost — asymmetric DAG-Rider
 //! (Algorithms 4–6) vs. the symmetric DAG-Rider baseline, across system
 //! sizes and trust topologies. Wall time per bounded execution (fixed wave
-//! budget, run to quiescence); the derived observables (waves per commit,
-//! message counts, simulated latency) are printed by
+//! budget, run to quiescence) of one scenario cell, which the invariant
+//! checkers audit once before it is timed; the derived observables (waves
+//! per commit, message counts, simulated latency) are printed by
 //! `cargo run -p asym-bench --bin exp_waves` / `exp_latency`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -10,37 +11,29 @@ use std::hint::black_box;
 
 use asym_dag_rider::prelude::*;
 
-fn run_asym(t: &topology::Topology, waves: u64) -> u64 {
-    let report = Cluster::new(t.clone())
-        .adversary(Adversary::Random(1))
-        .waves(waves)
-        .blocks_per_process(1)
-        .run_asymmetric();
-    assert!(report.quiescent);
-    report.steps
+/// A 3-wave, one-block-per-process cell under seeded random delivery.
+fn cell(t: TopologySpec, faults: FaultPlan, protocol: ProtocolSpec) -> Scenario {
+    Scenario::new(t, faults, SchedulerSpec::Random, 1).waves(3).protocol(protocol)
 }
 
-fn run_sym(t: &topology::Topology, f: usize, waves: u64) -> u64 {
-    let report = Cluster::new(t.clone())
-        .adversary(Adversary::Random(1))
-        .waves(waves)
-        .blocks_per_process(1)
-        .run_baseline(f);
-    assert!(report.quiescent);
-    report.steps
+/// Checks a cell once (outside the timed loop), then times plain runs.
+fn bench_cell(g: &mut criterion::BenchmarkGroup<'_>, id: impl Into<String>, scenario: Scenario) {
+    checks::run_and_check_all(&scenario).unwrap_or_else(|e| panic!("{e}"));
+    g.bench_function(id.into(), |b| b.iter(|| black_box(scenario.run().steps)));
 }
 
 fn bench_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("consensus-3-waves");
     g.sample_size(10);
     for (n, f) in [(4usize, 1usize), (7, 2), (10, 3)] {
-        let t = topology::uniform_threshold(n, f);
-        g.bench_with_input(BenchmarkId::new("asym-dag-rider", n), &n, |b, _| {
-            b.iter(|| black_box(run_asym(&t, 3)))
-        });
-        g.bench_with_input(BenchmarkId::new("dag-rider-baseline", n), &n, |b, _| {
-            b.iter(|| black_box(run_sym(&t, f, 3)))
-        });
+        let t = TopologySpec::UniformThreshold { n, f };
+        for (name, protocol) in [
+            ("asym-dag-rider", ProtocolSpec::AsymDagRider),
+            ("dag-rider-baseline", ProtocolSpec::DagRider),
+        ] {
+            let id = BenchmarkId::new(name, n).to_string();
+            bench_cell(&mut g, id, cell(t, FaultPlan::none(), protocol));
+        }
     }
     g.finish();
 }
@@ -48,9 +41,11 @@ fn bench_scaling(c: &mut Criterion) {
 fn bench_topologies(c: &mut Criterion) {
     let mut g = c.benchmark_group("consensus-topologies");
     g.sample_size(10);
-    for t in [topology::ripple_unl(10, 8, 1), topology::stellar_tiers(10, 4, 1)] {
-        let name = t.name.clone();
-        g.bench_function(&name, |b| b.iter(|| black_box(run_asym(&t, 3))));
+    for t in [
+        TopologySpec::RippleUnl { n: 10, unl: 8, f: 1 },
+        TopologySpec::StellarTiers { n: 10, core: 4, f_core: 1 },
+    ] {
+        bench_cell(&mut g, t.to_string(), cell(t, FaultPlan::none(), ProtocolSpec::AsymDagRider));
     }
     g.finish();
 }
@@ -58,18 +53,10 @@ fn bench_topologies(c: &mut Criterion) {
 fn bench_crash_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("consensus-with-crash");
     g.sample_size(10);
-    let t = topology::uniform_threshold(7, 2);
-    g.bench_function("no-crash", |b| b.iter(|| black_box(run_asym(&t, 3))));
-    g.bench_function("two-crashes", |b| {
-        b.iter(|| {
-            let report = Cluster::new(t.clone())
-                .adversary(Adversary::Random(1))
-                .crash([5, 6])
-                .waves(3)
-                .run_asymmetric();
-            black_box(report.steps)
-        })
-    });
+    let t = TopologySpec::UniformThreshold { n: 7, f: 2 };
+    let asym = ProtocolSpec::AsymDagRider;
+    bench_cell(&mut g, "no-crash", cell(t, FaultPlan::none(), asym));
+    bench_cell(&mut g, "two-crashes", cell(t, FaultPlan::crash_from_start([5, 6]), asym));
     g.finish();
 }
 

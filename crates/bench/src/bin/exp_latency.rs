@@ -9,7 +9,7 @@
 //! cargo run -p asym-bench --bin exp_latency
 //! ```
 
-use asym_bench::{measure_asym, measure_sym, render_table, Row};
+use asym_bench::{measure, render_table, Row};
 use asym_dag_rider::prelude::*;
 use asym_gather::{AsymGather, NaiveGather, SymGather};
 
@@ -72,10 +72,10 @@ fn main() {
     // ---- LAT-C: consensus. ----
     let mut rows = Vec::new();
     for (n, f) in [(4usize, 1usize), (7, 2), (10, 3)] {
-        let t = topology::uniform_threshold(n, f);
+        let t = TopologySpec::UniformThreshold { n, f };
         let waves = 8;
-        let (wpc_a, msgs_a, time_a) = measure_asym(&t, waves, 3);
-        let (wpc_s, msgs_s, time_s) = measure_sym(&t, f, waves, 3);
+        let (wpc_a, msgs_a, time_a) = measure(t, ProtocolSpec::AsymDagRider, waves, 3);
+        let (wpc_s, msgs_s, time_s) = measure(t, ProtocolSpec::DagRider, waves, 3);
         rows.push(Row {
             label: format!("n={n}, f={f}"),
             values: vec![

@@ -11,28 +11,28 @@
 use asym_bench::{render_table, Row};
 use asym_dag_rider::prelude::*;
 
-fn run(topo: &topology::Topology, f: Option<usize>, blocks: usize, txs: usize) -> (u64, u64, f64) {
-    let c = Cluster::new(topo.clone())
-        .adversary(Adversary::Latency { seed: 11, min: 1, max: 20 })
-        .waves(8)
-        .blocks_per_process(blocks)
-        .txs_per_block(txs);
-    let report = match f {
-        None => c.run_asymmetric(),
-        Some(f) => c.run_baseline(f),
-    };
-    let txs_ordered = report.max_txs_ordered();
-    let time = report.time.max(1);
+/// One fault-free checked cell: 8 waves, random 1–20 unit link latency.
+/// Returns `(ordered txs, simulated time, txs per time unit)`.
+fn run(t: TopologySpec, protocol: ProtocolSpec, blocks: usize, txs: usize) -> (u64, u64, f64) {
+    let scenario =
+        Scenario::new(t, FaultPlan::none(), SchedulerSpec::RandomLatency { min: 1, max: 20 }, 11)
+            .waves(8)
+            .blocks_per_process(blocks)
+            .txs_per_block(txs)
+            .protocol(protocol);
+    let outcome = checks::run_and_check_all(&scenario).unwrap_or_else(|e| panic!("{e}"));
+    let txs_ordered = outcome.max_txs_ordered();
+    let time = outcome.time.max(1);
     (txs_ordered, time, txs_ordered as f64 / time as f64)
 }
 
 fn main() {
     let mut rows = Vec::new();
-    let t = topology::uniform_threshold(7, 2);
+    let t = TopologySpec::UniformThreshold { n: 7, f: 2 };
     for (blocks, txs) in [(1usize, 4usize), (2, 16), (4, 64), (8, 128)] {
         let injected = 7 * blocks * txs;
-        let (a_txs, a_time, a_tput) = run(&t, None, blocks, txs);
-        let (s_txs, s_time, s_tput) = run(&t, Some(2), blocks, txs);
+        let (a_txs, a_time, a_tput) = run(t, ProtocolSpec::AsymDagRider, blocks, txs);
+        let (s_txs, s_time, s_tput) = run(t, ProtocolSpec::DagRider, blocks, txs);
         rows.push(Row {
             label: format!("load {injected} txs"),
             values: vec![
@@ -57,13 +57,13 @@ fn main() {
     // Topology sweep at fixed load: asymmetric trust does not tax throughput.
     let mut rows = Vec::new();
     for t in [
-        topology::uniform_threshold(7, 2),
-        topology::ripple_unl(10, 8, 1),
-        topology::stellar_tiers(10, 4, 1),
+        TopologySpec::UniformThreshold { n: 7, f: 2 },
+        TopologySpec::RippleUnl { n: 10, unl: 8, f: 1 },
+        TopologySpec::StellarTiers { n: 10, core: 4, f_core: 1 },
     ] {
-        let (txs, time, tput) = run(&t, None, 4, 64);
+        let (txs, time, tput) = run(t, ProtocolSpec::AsymDagRider, 4, 64);
         rows.push(Row {
-            label: t.name.clone(),
+            label: t.to_string(),
             values: vec![
                 ("ordered".into(), txs as f64),
                 ("time".into(), time as f64),

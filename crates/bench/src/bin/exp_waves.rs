@@ -10,7 +10,9 @@
 //! * **crash** — `f` processes crash: elected-but-dead leaders always skip
 //!   (threshold topologies; crash patterns that keep a guild).
 //!
-//! `--symmetric` adds the DAG-Rider baseline (classic bound 3/2).
+//! `--symmetric` adds the DAG-Rider baseline (classic bound 3/2). Every
+//! execution is a scenario cell audited by the full invariant-checker
+//! suite; the scenario seed drives the scheduler and the common coin.
 //!
 //! ```bash
 //! cargo run -p asym-bench --bin exp_waves [-- --symmetric]
@@ -22,18 +24,18 @@ use asym_dag_rider::prelude::*;
 const WAVES: u64 = 16;
 const SEEDS: std::ops::RangeInclusive<u64> = 1..=5;
 
-fn mean_wpc(reports: &[ClusterReport]) -> f64 {
-    let wpcs: Vec<f64> = reports.iter().filter_map(ClusterReport::waves_per_commit).collect();
+fn mean_wpc(outcomes: &[ScenarioOutcome]) -> f64 {
+    let wpcs: Vec<f64> = outcomes.iter().filter_map(ScenarioOutcome::waves_per_commit).collect();
     if wpcs.is_empty() {
         return f64::INFINITY;
     }
     wpcs.iter().sum::<f64>() / wpcs.len() as f64
 }
 
-fn skip_rate(reports: &[ClusterReport]) -> f64 {
+fn skip_rate(outcomes: &[ScenarioOutcome]) -> f64 {
     let (mut skipped, mut attempted) = (0u64, 0u64);
-    for r in reports {
-        for m in &r.metrics {
+    for o in outcomes {
+        for m in &o.metrics {
             skipped += m.waves_skipped_no_leader + m.waves_skipped_rule;
             attempted += m.waves_attempted;
         }
@@ -44,15 +46,20 @@ fn skip_rate(reports: &[ClusterReport]) -> f64 {
     100.0 * skipped as f64 / attempted as f64
 }
 
-fn run_suite(t: &topology::Topology, adversary: impl Fn(u64) -> Adversary) -> Vec<ClusterReport> {
+/// Runs one checked cell per seed; the seed drives both the scheduler and
+/// (decorrelated) the common coin.
+fn run_suite(
+    t: TopologySpec,
+    faults: &FaultPlan,
+    scheduler: &SchedulerSpec,
+    protocol: ProtocolSpec,
+) -> Vec<ScenarioOutcome> {
     SEEDS
         .map(|seed| {
-            Cluster::new(t.clone())
-                .adversary(adversary(seed))
-                .coin_seed(seed * 101)
+            let scenario = Scenario::new(t, faults.clone(), scheduler.clone(), seed)
                 .waves(WAVES)
-                .blocks_per_process(1)
-                .run_asymmetric()
+                .protocol(protocol);
+            checks::run_and_check_all(&scenario).unwrap_or_else(|e| panic!("{e}"))
         })
         .collect()
 }
@@ -60,7 +67,7 @@ fn run_suite(t: &topology::Topology, adversary: impl Fn(u64) -> Adversary) -> Ve
 /// Victims for the delay adversary: a small tolerable set (delaying is not
 /// crashing, so any size is *safe*, but starving many processes mostly slows
 /// the simulation without sharpening the measurement).
-fn victims(t: &topology::Topology) -> ProcessSet {
+fn victims(t: &topology::Topology) -> Vec<usize> {
     let n = t.n();
     let tolerable = (n - t.quorums.min_quorum_size()).clamp(1, 3);
     (n - tolerable..n).collect()
@@ -70,14 +77,19 @@ fn main() {
     let symmetric = std::env::args().any(|a| a == "--symmetric");
 
     let mut rows = Vec::new();
-    for t in standard_topologies() {
+    let asym = ProtocolSpec::AsymDagRider;
+    for spec in standard_topologies() {
+        let t = spec.build().expect("closed-form families");
         let n = t.n() as f64;
         let c_q = t.quorums.min_quorum_size() as f64;
-        let fair = run_suite(&t, Adversary::Random);
+        let fair = run_suite(spec, &FaultPlan::none(), &SchedulerSpec::Random, asym);
         // The O(pending)-per-step delay adversary is too slow for the
         // 30-process figure-1 system; its adversarial regime is covered by
         // the crash table below and the experiment notes in the README.
-        let delay = (t.n() <= 10).then(|| run_suite(&t, |_| Adversary::TargetedDelay(victims(&t))));
+        let delay = (t.n() <= 10).then(|| {
+            let delay = SchedulerSpec::TargetedDelay { victims: victims(&t) };
+            run_suite(spec, &FaultPlan::none(), &delay, asym)
+        });
         rows.push(Row {
             label: t.name.clone(),
             values: vec![
@@ -104,18 +116,9 @@ fn main() {
     // leader has no vertex, so commit probability is (n−f)/n.
     let mut rows = Vec::new();
     for (n, f) in [(4usize, 1usize), (7, 2), (10, 3)] {
-        let t = topology::uniform_threshold(n, f);
-        let crashed: Vec<usize> = (n - f..n).collect();
-        let reports: Vec<ClusterReport> = SEEDS
-            .map(|seed| {
-                Cluster::new(t.clone())
-                    .adversary(Adversary::Random(seed))
-                    .coin_seed(seed * 101)
-                    .crash(crashed.iter().copied())
-                    .waves(WAVES)
-                    .run_asymmetric()
-            })
-            .collect();
+        let t = TopologySpec::UniformThreshold { n, f };
+        let reports =
+            run_suite(t, &FaultPlan::crash_from_start(n - f..n), &SchedulerSpec::Random, asym);
         rows.push(Row {
             label: format!("threshold n={n}, {f} crashed"),
             values: vec![
@@ -134,16 +137,9 @@ fn main() {
     if symmetric {
         let mut rows = Vec::new();
         for (n, f) in [(4usize, 1usize), (7, 2), (10, 3)] {
-            let t = topology::uniform_threshold(n, f);
-            let reports: Vec<ClusterReport> = SEEDS
-                .map(|seed| {
-                    Cluster::new(t.clone())
-                        .adversary(Adversary::Random(seed))
-                        .coin_seed(seed * 101)
-                        .waves(WAVES)
-                        .run_baseline(f)
-                })
-                .collect();
+            let t = TopologySpec::UniformThreshold { n, f };
+            let reports =
+                run_suite(t, &FaultPlan::none(), &SchedulerSpec::Random, ProtocolSpec::DagRider);
             rows.push(Row {
                 label: format!("baseline n={n}, f={f}"),
                 values: vec![

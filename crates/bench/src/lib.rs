@@ -47,40 +47,40 @@ pub fn render_table(title: &str, rows: &[Row]) -> String {
 }
 
 /// The standard topology sweep used by several experiments.
-pub fn standard_topologies() -> Vec<topology::Topology> {
+pub fn standard_topologies() -> Vec<TopologySpec> {
     vec![
-        topology::uniform_threshold(4, 1),
-        topology::uniform_threshold(7, 2),
-        topology::uniform_threshold(10, 3),
-        topology::ripple_unl(10, 8, 1),
-        topology::stellar_tiers(10, 4, 1),
-        topology::Topology {
-            name: "figure-1(n=30)".into(),
-            fail_prone: asym_quorum::counterexample::fig1_fail_prone(),
-            quorums: asym_quorum::counterexample::fig1_quorums(),
-        },
+        TopologySpec::UniformThreshold { n: 4, f: 1 },
+        TopologySpec::UniformThreshold { n: 7, f: 2 },
+        TopologySpec::UniformThreshold { n: 10, f: 3 },
+        TopologySpec::RippleUnl { n: 10, unl: 8, f: 1 },
+        TopologySpec::StellarTiers { n: 10, core: 4, f_core: 1 },
+        TopologySpec::Figure1,
     ]
 }
 
-/// Runs asymmetric DAG-Rider and returns `(waves per commit, sent messages,
+/// Runs one fault-free checked cell (one block per process, random 1–20
+/// unit link latency) and returns `(waves per commit, sent messages,
 /// simulated time)` — the observables of Lemma 4.4 and the latency claims.
-pub fn measure_asym(topo: &topology::Topology, waves: u64, seed: u64) -> (f64, u64, u64) {
-    let report = Cluster::new(topo.clone())
-        .adversary(Adversary::Latency { seed, min: 1, max: 20 })
-        .waves(waves)
-        .blocks_per_process(1)
-        .run_asymmetric();
-    (report.waves_per_commit().unwrap_or(f64::INFINITY), report.net.sent, report.time)
-}
-
-/// Runs the symmetric baseline with threshold `f`; same observables.
-pub fn measure_sym(topo: &topology::Topology, f: usize, waves: u64, seed: u64) -> (f64, u64, u64) {
-    let report = Cluster::new(topo.clone())
-        .adversary(Adversary::Latency { seed, min: 1, max: 20 })
-        .waves(waves)
-        .blocks_per_process(1)
-        .run_baseline(f);
-    (report.waves_per_commit().unwrap_or(f64::INFINITY), report.net.sent, report.time)
+///
+/// # Panics
+///
+/// Panics with the reproduction tuple if an invariant checker fails.
+pub fn measure(
+    topology: TopologySpec,
+    protocol: ProtocolSpec,
+    waves: u64,
+    seed: u64,
+) -> (f64, u64, u64) {
+    let scenario = Scenario::new(
+        topology,
+        FaultPlan::none(),
+        SchedulerSpec::RandomLatency { min: 1, max: 20 },
+        seed,
+    )
+    .waves(waves)
+    .protocol(protocol);
+    let outcome = checks::run_and_check_all(&scenario).unwrap_or_else(|e| panic!("{e}"));
+    (outcome.waves_per_commit().unwrap_or(f64::INFINITY), outcome.net.sent, outcome.time)
 }
 
 #[cfg(test)]
@@ -101,19 +101,20 @@ mod tests {
 
     #[test]
     fn standard_topologies_are_valid() {
-        for t in standard_topologies() {
+        for spec in standard_topologies() {
+            let t = spec.build().expect("closed-form families");
             assert!(t.fail_prone.satisfies_b3(), "{}", t.name);
         }
     }
 
     #[test]
     fn measurement_smoke() {
-        let t = topology::uniform_threshold(4, 1);
-        let (wpc, sent, time) = measure_asym(&t, 3, 1);
+        let t = TopologySpec::UniformThreshold { n: 4, f: 1 };
+        let (wpc, sent, time) = measure(t, ProtocolSpec::AsymDagRider, 3, 1);
         assert!(wpc >= 1.0);
         assert!(sent > 0);
         assert!(time > 0);
-        let (wpc, _, _) = measure_sym(&t, 1, 3, 1);
+        let (wpc, _, _) = measure(t, ProtocolSpec::DagRider, 3, 1);
         assert!(wpc >= 1.0);
     }
 }

@@ -344,7 +344,6 @@ impl AsymDagRider {
     /// Runs the ACK → READY → CONFIRM ladder of Algorithm 5 for `wave`.
     fn control_step(&mut self, wave: WaveId, ctx: &mut Context<'_, AsymRiderMsg, OrderedVertex>) {
         let me = self.core.me();
-        let amplify = self.core.config().kernel_amplification;
         let ctrl = self.control.entry(wave).or_default();
 
         // Line 123: READY after ACKs from one of my quorums.
@@ -358,7 +357,7 @@ impl AsymDagRider {
             ctx.broadcast(AsymRiderMsg::Confirm { wave });
         }
         // Line 131: CONFIRM after CONFIRMs from one of my kernels.
-        if amplify && !ctrl.sent_confirm && self.quorums.hits_kernel_for(me, &ctrl.confirms) {
+        if !ctrl.sent_confirm && self.quorums.hits_kernel_for(me, &ctrl.confirms) {
             ctrl.sent_confirm = true;
             ctx.broadcast(AsymRiderMsg::Confirm { wave });
         }
@@ -894,11 +893,16 @@ mod tests {
     }
 
     fn check_total_order(outputs: &[Vec<OrderedVertex>]) {
+        // Ids *and* blocks: an equal id carrying a different payload is a fork.
         for a in outputs {
             for b in outputs {
                 let common = a.len().min(b.len());
                 for k in 0..common {
-                    assert_eq!(a[k].id, b[k].id, "total order violated at position {k}");
+                    assert_eq!(
+                        (a[k].id, &a[k].block),
+                        (b[k].id, &b[k].block),
+                        "total order violated at position {k}"
+                    );
                 }
             }
         }
@@ -1226,11 +1230,7 @@ mod tests {
         // The 30-process counterexample system is a valid quorum system; the
         // full consensus protocol must run on it (this is the paper's own
         // setting: all processes correct).
-        let t = topology::Topology {
-            name: "figure-1".into(),
-            fail_prone: asym_quorum::counterexample::fig1_fail_prone(),
-            quorums: asym_quorum::counterexample::fig1_quorums(),
-        };
+        let t = topology::TopologySpec::Figure1.build().expect("closed-form family");
         run_and_check(&t, &[], 1, 6);
     }
 }

@@ -246,9 +246,8 @@ impl DagCore {
         assert_eq!(round, self.round + 1, "rounds advance one at a time");
         assert!(round <= self.config.max_round(), "past configured horizon");
         self.round = round;
-        // Without filler blocks the paper's `wait until ¬empty()` would
-        // block here; both configurations fall back to an empty block to
-        // keep the simulation live (documented deviation).
+        // The paper's `wait until ¬empty()` would block here; an empty
+        // filler block keeps the simulation live (documented deviation).
         let block = self.blocks.pop_front().unwrap_or_default();
         // Pruned previous-round vertices are sound strong-edge targets:
         // they were delivered (hence fully disseminated), so every peer
@@ -516,11 +515,7 @@ mod tests {
         // Build: p0 references only p0's chain strongly; p3's round-1 vertex
         // exists but is never referenced → becomes a weak edge at round 3.
         let t = topology::uniform_threshold(4, 1);
-        let mut c = DagCore::new(
-            pid(0),
-            t.quorums,
-            RiderConfig { allow_empty_blocks: true, ..Default::default() },
-        );
+        let mut c = DagCore::new(pid(0), t.quorums, RiderConfig::default());
         c.advance_and_broadcast(1);
         // Hand-insert p3's round-1 vertex (bypassing arb for the test).
         c.buffer.push(Vertex::new(pid(3), 1, Block::default(), ProcessSet::full(4), vec![]));

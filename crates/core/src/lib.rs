@@ -60,6 +60,6 @@ mod types;
 pub use asym_rider::{AsymDagRider, AsymRiderMsg};
 pub use dagcore::{DagCore, DagLog};
 pub use ordering::{CommitOutcome, WaveCommitter};
-pub use rider::{DagRider, RiderMsg};
+pub use rider::DagRider;
 pub use transfer::{TransferState, TransferStats, WaveSegment};
 pub use types::{Block, OrderedVertex, RiderConfig, RiderMetrics, Tx};

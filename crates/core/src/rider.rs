@@ -5,24 +5,22 @@
 //! DAG; every fourth round closes a *wave*, whose coin-elected round-1 leader
 //! commits when `n − f` round-4 vertices reach it by strong paths. Committed
 //! leaders atomically deliver their causal history in a deterministic order.
+//!
+//! The baseline speaks the asymmetric protocol's wire type, so one
+//! simulation can host either protocol (and the same Byzantine parties),
+//! but it only ever sends [`AsymRiderMsg::Arb`]: ordering is zero-message,
+//! driven by the DAG structure and the shared coin. Every other variant is
+//! ignored.
 
-use asym_broadcast::BcastMsg;
 use asym_crypto::CommonCoin;
-use asym_dag::{round_of_wave, wave_of_round, DagStore, Vertex, VertexId, WaveId};
+use asym_dag::{round_of_wave, wave_of_round, DagStore, VertexId, WaveId};
 use asym_quorum::{AsymQuorumSystem, ProcessId, QuorumSystem};
 use asym_sim::{Context, Protocol};
 
+use crate::asym_rider::AsymRiderMsg;
 use crate::dagcore::DagCore;
 use crate::ordering::{CommitOutcome, WaveCommitter};
 use crate::types::{Block, OrderedVertex, RiderConfig, RiderMetrics};
-
-/// Wire messages of symmetric DAG-Rider: vertex dissemination only (ordering
-/// is zero-message, driven by the DAG structure and the shared coin).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RiderMsg {
-    /// Reliable-broadcast layer carrying DAG vertices.
-    Arb(BcastMsg<Vertex<Block>>),
-}
 
 /// One process of symmetric DAG-Rider.
 ///
@@ -76,6 +74,12 @@ impl DagRider {
         self.committer.log()
     }
 
+    /// The wave-commitment state (observer inspection): decided wave,
+    /// delivered set and commit log.
+    pub fn committer(&self) -> &WaveCommitter {
+        &self.committer
+    }
+
     fn quota(&self) -> usize {
         self.n - self.f
     }
@@ -93,7 +97,7 @@ impl DagRider {
         committers >= quota
     }
 
-    fn wave_ready(&mut self, w: WaveId, ctx: &mut Context<'_, RiderMsg, OrderedVertex>) {
+    fn wave_ready(&mut self, w: WaveId, ctx: &mut Context<'_, AsymRiderMsg, OrderedVertex>) {
         if w <= self.committer.decided_wave() {
             return;
         }
@@ -119,7 +123,7 @@ impl DagRider {
         }
     }
 
-    fn advance(&mut self, ctx: &mut Context<'_, RiderMsg, OrderedVertex>) {
+    fn advance(&mut self, ctx: &mut Context<'_, AsymRiderMsg, OrderedVertex>) {
         loop {
             self.core.drain_buffer();
             let cur = self.core.round();
@@ -133,14 +137,14 @@ impl DagRider {
                 self.wave_ready(cur / 4, ctx);
             }
             for m in self.core.advance_and_broadcast(cur + 1) {
-                ctx.broadcast(RiderMsg::Arb(m));
+                ctx.broadcast(AsymRiderMsg::Arb(m));
             }
         }
     }
 }
 
 impl Protocol for DagRider {
-    type Msg = RiderMsg;
+    type Msg = AsymRiderMsg;
     type Input = Block;
     type Output = OrderedVertex;
 
@@ -159,11 +163,11 @@ impl Protocol for DagRider {
         msg: Self::Msg,
         ctx: &mut Context<'_, Self::Msg, Self::Output>,
     ) {
-        let RiderMsg::Arb(inner) = msg;
+        let AsymRiderMsg::Arb(inner) = msg else { return };
         let quota = self.quota();
         let (out, _fresh) = self.core.handle_arb(from, inner, |v| v.strong_edges().len() >= quota);
         for m in out {
-            ctx.broadcast(RiderMsg::Arb(m));
+            ctx.broadcast(AsymRiderMsg::Arb(m));
         }
         self.advance(ctx);
     }
@@ -185,12 +189,16 @@ mod tests {
 
     fn check_total_order(outputs: &[Vec<OrderedVertex>]) {
         // Prefix consistency: any two output sequences agree on their common
-        // prefix.
+        // prefix, ids *and* blocks.
         for a in outputs {
             for b in outputs {
                 let common = a.len().min(b.len());
                 for k in 0..common {
-                    assert_eq!(a[k].id, b[k].id, "total order violated at position {k}");
+                    assert_eq!(
+                        (a[k].id, &a[k].block),
+                        (b[k].id, &b[k].block),
+                        "total order violated at position {k}"
+                    );
                 }
             }
         }

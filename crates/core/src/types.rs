@@ -11,7 +11,7 @@ pub type Tx = u64;
 /// A block of transactions carried by one DAG vertex.
 ///
 /// `aa-broadcast` enqueues blocks; each new vertex packs the oldest queued
-/// block (or an empty one, see [`RiderConfig::allow_empty_blocks`]).
+/// block, or an empty filler block when none is queued.
 ///
 /// The payload is immutable and shared: cloning a block (and hence a vertex,
 /// a broadcast message or an ordered output) increments a reference count
@@ -85,13 +85,6 @@ pub struct RiderConfig {
     /// Number of waves after which the process stops creating vertices
     /// (bounds a simulation; the protocol itself is infinite).
     pub max_waves: WaveId,
-    /// Create empty filler blocks when no client block is queued. Disabling
-    /// reproduces the paper's `wait until ¬blocksToPropose.empty()` (which
-    /// can stall rounds).
-    pub allow_empty_blocks: bool,
-    /// Enable the CONFIRM-from-kernel amplification (asymmetric variant
-    /// only; ignored by the symmetric baseline).
-    pub kernel_amplification: bool,
     /// Garbage-collect the delivered prefix at every WAL snapshot: vertices
     /// of waves below the decided wave that were already delivered are
     /// dropped from the local DAG and from subsequent snapshots (bounding
@@ -104,12 +97,7 @@ pub struct RiderConfig {
 
 impl Default for RiderConfig {
     fn default() -> Self {
-        RiderConfig {
-            max_waves: 8,
-            allow_empty_blocks: true,
-            kernel_amplification: true,
-            prune_wal: false,
-        }
+        RiderConfig { max_waves: 8, prune_wal: false }
     }
 }
 

@@ -57,6 +57,48 @@ pub fn uniform_threshold(n: usize, f: usize) -> Topology {
     Topology { name: format!("threshold(n={n},f={f})"), fail_prone: fps, quorums }
 }
 
+/// A mixed-threshold topology in the spirit of Cachin–Tackmann's asymmetric
+/// trust: every process assumes at most `f` of `n` processes fail, except a
+/// process `p0` that declares its own threshold `f0` (a cautious `f0 < f` or
+/// a bolder `f0 > f`). Quorums are canonical. Not every choice satisfies
+/// B³, so callers check it.
+///
+/// # Examples
+///
+/// ```
+/// use asym_quorum::topology;
+///
+/// // n = 7: p0 tolerates 1 failure, everyone else 2.
+/// let t = topology::mixed_thresholds(7, 2, 1);
+/// assert!(t.fail_prone.satisfies_b3());
+/// assert!(t.quorums.validate(&t.fail_prone).is_ok());
+/// assert_eq!(t.quorums.min_quorum_size(), 5);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `n == 0`, `f >= n` or `f0 >= n`.
+pub fn mixed_thresholds(n: usize, f: usize, f0: usize) -> Topology {
+    assert!(n >= 1, "a topology needs at least one process");
+    let mut systems = vec![FailProneSystem::threshold(n, f); n];
+    systems[0] = FailProneSystem::threshold(n, f0);
+    let fail_prone = AsymFailProneSystem::new(systems).expect("thresholds are well-formed");
+    let quorums = fail_prone.canonical_quorums();
+    Topology { name: format!("mixed(n={n},f={f},f0={f0})"), fail_prone, quorums }
+}
+
+/// The paper's Figure-1 system (`n = 30`, one explicit quorum per process,
+/// fail-prone sets their complements) from [`crate::counterexample`]: the
+/// system on which the quorum-replacement gather fails and Algorithm 3
+/// succeeds.
+pub fn figure1() -> Topology {
+    Topology {
+        name: format!("figure-1(n={})", crate::counterexample::FIG1_N),
+        fail_prone: crate::counterexample::fig1_fail_prone(),
+        quorums: crate::counterexample::fig1_quorums(),
+    }
+}
+
 /// A Ripple-style topology: process `i`'s UNL is the window
 /// `{i, i+1, …, i+unl−1}` (mod `n`) and it tolerates `f` failures inside its
 /// UNL. Neighbouring processes have heavily overlapping but *distinct* trust
@@ -238,6 +280,17 @@ pub enum TopologySpec {
         /// Failures tolerated inside the core.
         f_core: usize,
     },
+    /// [`mixed_thresholds`]`(n, f, f0)`.
+    MixedThresholds {
+        /// Number of processes.
+        n: usize,
+        /// Failure threshold of every process but `p0`.
+        f: usize,
+        /// `p0`'s own failure threshold.
+        f0: usize,
+    },
+    /// [`figure1`]`()`: the paper's 30-process Figure-1 system.
+    Figure1,
     /// [`random_slices`]`(n, slice, f, seed, 200)`.
     RandomSlices {
         /// Number of processes.
@@ -260,6 +313,8 @@ impl TopologySpec {
             TopologySpec::UniformThreshold { n, f } => Some(uniform_threshold(n, f)),
             TopologySpec::RippleUnl { n, unl, f } => Some(ripple_unl(n, unl, f)),
             TopologySpec::StellarTiers { n, core, f_core } => Some(stellar_tiers(n, core, f_core)),
+            TopologySpec::MixedThresholds { n, f, f0 } => Some(mixed_thresholds(n, f, f0)),
+            TopologySpec::Figure1 => Some(figure1()),
             TopologySpec::RandomSlices { n, slice, f, seed } => {
                 random_slices(n, slice, f, seed, 200)
             }
@@ -272,6 +327,8 @@ impl TopologySpec {
             TopologySpec::UniformThreshold { .. } => "uniform_threshold",
             TopologySpec::RippleUnl { .. } => "ripple_unl",
             TopologySpec::StellarTiers { .. } => "stellar_tiers",
+            TopologySpec::MixedThresholds { .. } => "mixed_thresholds",
+            TopologySpec::Figure1 => "figure1",
             TopologySpec::RandomSlices { .. } => "random_slices",
         }
     }
@@ -282,7 +339,9 @@ impl TopologySpec {
             TopologySpec::UniformThreshold { n, .. }
             | TopologySpec::RippleUnl { n, .. }
             | TopologySpec::StellarTiers { n, .. }
+            | TopologySpec::MixedThresholds { n, .. }
             | TopologySpec::RandomSlices { n, .. } => n,
+            TopologySpec::Figure1 => crate::counterexample::FIG1_N,
         }
     }
 }
@@ -294,6 +353,12 @@ impl core::fmt::Display for TopologySpec {
             TopologySpec::RippleUnl { n, unl, f: t } => write!(f, "ripple(n={n},unl={unl},f={t})"),
             TopologySpec::StellarTiers { n, core, f_core } => {
                 write!(f, "stellar(n={n},core={core},f={f_core})")
+            }
+            TopologySpec::MixedThresholds { n, f: t, f0 } => {
+                write!(f, "mixed(n={n},f={t},f0={f0})")
+            }
+            TopologySpec::Figure1 => {
+                write!(f, "figure-1(n={})", crate::counterexample::FIG1_N)
             }
             TopologySpec::RandomSlices { n, slice, f: t, seed } => {
                 write!(f, "random(n={n},slice={slice},f={t},seed={seed})")
@@ -387,6 +452,8 @@ mod tests {
             TopologySpec::UniformThreshold { n: 7, f: 2 },
             TopologySpec::RippleUnl { n: 10, unl: 8, f: 1 },
             TopologySpec::StellarTiers { n: 12, core: 4, f_core: 1 },
+            TopologySpec::MixedThresholds { n: 7, f: 2, f0: 1 },
+            TopologySpec::Figure1,
             TopologySpec::RandomSlices { n: 8, slice: 6, f: 1, seed: 42 },
         ];
         for spec in specs {
@@ -403,6 +470,20 @@ mod tests {
         assert_eq!(spec.to_string(), spec.build().unwrap().name);
         let spec = TopologySpec::StellarTiers { n: 8, core: 4, f_core: 1 };
         assert_eq!(spec.to_string(), spec.build().unwrap().name);
+        let spec = TopologySpec::MixedThresholds { n: 7, f: 2, f0: 1 };
+        assert_eq!(spec.to_string(), spec.build().unwrap().name);
+        assert_eq!(TopologySpec::Figure1.to_string(), figure1().name);
+    }
+
+    #[test]
+    fn mixed_thresholds_give_p0_its_own_threshold() {
+        let t = mixed_thresholds(7, 2, 1);
+        // p0 needs 6 of 7, everyone else 5 of 7.
+        assert_eq!(t.quorums.of(ProcessId::new(0)).min_quorum_size(), 6);
+        assert_eq!(t.quorums.of(ProcessId::new(1)).min_quorum_size(), 5);
+        // A bold p0 (f0 = 3) breaks B3 at n = 7: its 3 suspects, another
+        // process's 2 and 2 more they both suspect cover all 7.
+        assert!(!mixed_thresholds(7, 2, 3).fail_prone.satisfies_b3());
     }
 
     #[test]

@@ -5,12 +5,16 @@
 //! deviation, so it is modelled as an alternative state machine speaking
 //! [`AsymRiderMsg`]. [`Party`] packs honest and Byzantine participants into
 //! one protocol type so a single simulation can mix them — the form every
-//! Byzantine scenario cell runs.
+//! scenario cell runs. The symmetric baseline speaks the same wire type, so
+//! it is one more kind of party.
 
 use asym_broadcast::BcastMsg;
-use asym_core::{AsymDagRider, AsymRiderMsg, Block, OrderedVertex, WaveSegment};
+use asym_core::{
+    AsymDagRider, AsymRiderMsg, Block, DagRider, OrderedVertex, RiderMetrics, WaveCommitter,
+    WaveSegment,
+};
 use asym_crypto::CommonCoin;
-use asym_dag::{round_of_wave, Vertex, VertexId};
+use asym_dag::{round_of_wave, DagStore, Vertex, VertexId};
 use asym_quorum::{ProcessId, ProcessSet};
 use asym_sim::{Context, Protocol};
 
@@ -303,22 +307,51 @@ impl Protocol for ByzProcess {
     }
 }
 
-/// Either an honest or a Byzantine participant — one simulation, one type.
+/// One scenario participant — one simulation, one type.
 #[derive(Clone, Debug)]
 #[allow(clippy::large_enum_variant)]
 pub enum Party {
     /// An honest asymmetric DAG-Rider process.
     Honest(AsymDagRider),
+    /// An honest process of the symmetric DAG-Rider baseline.
+    Baseline(DagRider),
     /// A protocol-level attacker.
     Byzantine(ByzProcess),
 }
 
 impl Party {
-    /// The honest process, if this party is one.
+    /// The honest asymmetric DAG-Rider process, if this party is one.
     pub fn as_honest(&self) -> Option<&AsymDagRider> {
         match self {
             Party::Honest(p) => Some(p),
+            Party::Baseline(_) | Party::Byzantine(_) => None,
+        }
+    }
+
+    /// The wave-commitment state of an honest party of either protocol.
+    pub fn committer(&self) -> Option<&WaveCommitter> {
+        match self {
+            Party::Honest(p) => Some(p.committer()),
+            Party::Baseline(p) => Some(p.committer()),
             Party::Byzantine(_) => None,
+        }
+    }
+
+    /// The local DAG of an honest party of either protocol.
+    pub fn dag(&self) -> Option<&DagStore<Block>> {
+        match self {
+            Party::Honest(p) => Some(p.dag()),
+            Party::Baseline(p) => Some(p.dag()),
+            Party::Byzantine(_) => None,
+        }
+    }
+
+    /// Execution counters (default for an attacker).
+    pub fn metrics(&self) -> RiderMetrics {
+        match self {
+            Party::Honest(p) => p.metrics(),
+            Party::Baseline(p) => p.metrics(),
+            Party::Byzantine(_) => RiderMetrics::default(),
         }
     }
 }
@@ -331,13 +364,16 @@ impl Protocol for Party {
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg, Self::Output>) {
         match self {
             Party::Honest(p) => p.on_start(ctx),
+            Party::Baseline(p) => p.on_start(ctx),
             Party::Byzantine(p) => p.on_start(ctx),
         }
     }
 
     fn on_input(&mut self, input: Block, ctx: &mut Context<'_, Self::Msg, Self::Output>) {
-        if let Party::Honest(p) = self {
-            p.on_input(input, ctx)
+        match self {
+            Party::Honest(p) => p.on_input(input, ctx),
+            Party::Baseline(p) => p.on_input(input, ctx),
+            Party::Byzantine(_) => {}
         }
     }
 
@@ -349,6 +385,7 @@ impl Protocol for Party {
     ) {
         match self {
             Party::Honest(p) => p.on_message(from, msg, ctx),
+            Party::Baseline(p) => p.on_message(from, msg, ctx),
             Party::Byzantine(p) => p.on_message(from, msg, ctx),
         }
     }
@@ -356,6 +393,8 @@ impl Protocol for Party {
     fn on_recover(&mut self, ctx: &mut Context<'_, Self::Msg, Self::Output>) {
         match self {
             Party::Honest(p) => p.on_recover(ctx),
+            // The runner never schedules a baseline restart (no WAL).
+            Party::Baseline(p) => p.on_recover(ctx),
             // A revived attacker lies during its own recovery
             // (Fault::ByzantineRestart) instead of replaying a WAL.
             Party::Byzantine(p) => p.on_recover(ctx),

@@ -27,7 +27,6 @@
 
 use std::collections::HashSet;
 
-use asym_core::OrderedVertex;
 use asym_crypto::CommonCoin;
 use asym_dag::{round_of_wave, VertexId};
 
@@ -687,48 +686,12 @@ pub fn state_transfer_consistency(o: &ScenarioOutcome) -> Result<(), String> {
     Ok(())
 }
 
-/// Panics unless the output sequences are pairwise prefix-consistent — the
-/// drop-in replacement for the helper the integration tests used to
-/// copy-paste.
-///
-/// # Panics
-///
-/// Panics with the fork position if two sequences diverge.
-pub fn assert_prefix_consistent(outputs: &[Vec<OrderedVertex>]) {
-    for (ai, a) in outputs.iter().enumerate() {
-        for (bi, b) in outputs.iter().enumerate() {
-            let common = a.len().min(b.len());
-            for k in 0..common {
-                assert_eq!(
-                    a[k].id, b[k].id,
-                    "total order violated between p{ai} and p{bi} at position {k}"
-                );
-            }
-        }
-    }
-}
-
-/// Panics if any output sequence delivers a vertex twice — the integrity
-/// property, for raw outputs produced outside the scenario runner (e.g. the
-/// `Cluster` harness on custom topologies).
-///
-/// # Panics
-///
-/// Panics naming the process and vertex on the first duplicate delivery.
-pub fn assert_no_duplicates(outputs: &[Vec<OrderedVertex>]) {
-    for (i, out) in outputs.iter().enumerate() {
-        let mut seen = HashSet::new();
-        for v in out {
-            assert!(seen.insert(v.id), "p{i} delivered {} twice", v.id);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::{Fault, FaultPlan, SchedulerSpec};
     use crate::{ByzAttack, TopologySpec};
+    use asym_core::OrderedVertex;
 
     fn scenario() -> Scenario {
         Scenario::new(

@@ -11,7 +11,9 @@
 //! * [`Scenario`] — a plain-data descriptor of one execution: a
 //!   [`TopologySpec`] (seed-replayable topology family), a [`FaultPlan`]
 //!   (crash / mid-run crash / mute / crash-restart / Byzantine
-//!   assignments), a [`SchedulerSpec`] (delivery adversary) and a seed;
+//!   assignments), a [`SchedulerSpec`] (delivery adversary) and a seed,
+//!   run by asymmetric DAG-Rider or, on threshold topologies, by the
+//!   symmetric DAG-Rider baseline ([`ProtocolSpec`]);
 //! * [`ScenarioOutcome`] — everything an execution observably produced:
 //!   per-process outputs, commit logs, DAG snapshots, WAL replays, metrics,
 //!   the guild;
@@ -75,25 +77,15 @@ pub use byzantine::{ByzAttack, ByzProcess, Party, FORGED_TX};
 pub use checks::{replay, ScenarioFailure};
 pub use matrix::{CellStats, CellStatus, Matrix, MatrixReport};
 pub use runner::{ScenarioError, ScenarioOutcome};
-pub use spec::{Fault, FaultPlan, Scenario, SchedulerSpec, StorageSpec};
+pub use spec::{Fault, FaultPlan, ProtocolSpec, Scenario, SchedulerSpec, StorageSpec};
 
 // Re-export so downstream tests can name topologies without an extra import.
 pub use asym_quorum::topology::TopologySpec;
 
-use asym_core::{AsymDagRider, RiderConfig};
-use asym_quorum::topology::Topology;
 use asym_quorum::ProcessId;
 
 /// Shorthand process-id constructor (the helper every integration test used
 /// to re-implement).
 pub fn pid(i: usize) -> ProcessId {
     ProcessId::new(i)
-}
-
-/// Builds one honest asymmetric DAG-Rider process per topology member, all
-/// sharing `coin` and a `waves` budget — the cluster-construction helper the
-/// integration tests used to copy-paste.
-pub fn riders(t: &Topology, waves: u64, coin: u64) -> Vec<AsymDagRider> {
-    let config = RiderConfig { max_waves: waves, ..Default::default() };
-    (0..t.n()).map(|i| AsymDagRider::new(pid(i), t.quorums.clone(), coin, config)).collect()
 }

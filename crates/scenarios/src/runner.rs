@@ -1,7 +1,7 @@
 //! The scenario runner: descriptor in, fully-observed execution out.
 
 use asym_core::{
-    AsymDagRider, Block, DagLog, OrderedVertex, RiderConfig, RiderMetrics, TransferStats,
+    AsymDagRider, Block, DagLog, DagRider, OrderedVertex, RiderConfig, RiderMetrics, TransferStats,
     WaveCommitter,
 };
 use asym_dag::{DagStore, VertexId, WaveId};
@@ -12,7 +12,7 @@ use asym_storage::{PowerlossPlan, RecoveredState, StorageBackend, WalStats};
 
 use crate::byzantine::{ByzProcess, Party};
 use crate::pid;
-use crate::spec::{Fault, Scenario, StorageSpec};
+use crate::spec::{Fault, ProtocolSpec, Scenario, StorageSpec};
 
 /// Why a scenario could not be executed (as opposed to failing a check).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -26,6 +26,10 @@ pub enum ScenarioError {
         /// System size.
         n: usize,
     },
+    /// The symmetric DAG-Rider baseline cannot run this cell: it needs a
+    /// [`TopologySpec::UniformThreshold`] with `n > 3f`, and it has no
+    /// write-ahead log for a restart fault or the all-pruned axis.
+    BaselineUnsupported(&'static str),
 }
 
 impl core::fmt::Display for ScenarioError {
@@ -36,6 +40,9 @@ impl core::fmt::Display for ScenarioError {
             }
             ScenarioError::FaultIndexOutOfRange { index, n } => {
                 write!(f, "fault assigned to p{index} but the topology has n={n}")
+            }
+            ScenarioError::BaselineUnsupported(reason) => {
+                write!(f, "the DAG-Rider baseline cannot run this cell: {reason}")
             }
         }
     }
@@ -127,6 +134,22 @@ impl ScenarioOutcome {
     pub fn restarted(&self) -> Vec<usize> {
         self.scenario.faults.restarts().collect()
     }
+
+    /// Transactions ordered by the best-progressed process.
+    pub fn max_txs_ordered(&self) -> u64 {
+        self.metrics.iter().map(|m| m.txs_ordered).max().unwrap_or(0)
+    }
+
+    /// Wave boundaries per direct commit, summed over every process that
+    /// attempted a wave — the Lemma 4.4 observable, bounded in expectation
+    /// by `|P| / c(Q)`. `None` if nothing committed.
+    pub fn waves_per_commit(&self) -> Option<f64> {
+        let (attempted, committed) = self
+            .metrics
+            .iter()
+            .fold((0, 0), |(a, c), m| (a + m.waves_attempted, c + m.waves_committed));
+        (committed > 0).then(|| attempted as f64 / committed as f64)
+    }
 }
 
 impl Scenario {
@@ -137,7 +160,9 @@ impl Scenario {
     ///
     /// [`ScenarioError::TopologyUnavailable`] if a random topology family
     /// finds no valid system; [`ScenarioError::FaultIndexOutOfRange`] if the
-    /// fault plan targets a process the topology does not have.
+    /// fault plan targets a process the topology does not have;
+    /// [`ScenarioError::BaselineUnsupported`] if the baseline protocol is
+    /// asked to run a cell it cannot.
     pub fn try_run(&self) -> Result<ScenarioOutcome, ScenarioError> {
         let topology =
             self.topology.build().ok_or(ScenarioError::TopologyUnavailable(self.topology))?;
@@ -147,9 +172,12 @@ impl Scenario {
                 return Err(ScenarioError::FaultIndexOutOfRange { index: max, n });
             }
         }
+        let baseline_f = match self.protocol {
+            ProtocolSpec::AsymDagRider => None,
+            ProtocolSpec::DagRider => Some(self.baseline_threshold()?),
+        };
 
-        let config =
-            RiderConfig { max_waves: self.waves, prune_wal: self.prune_wal, ..Default::default() };
+        let config = RiderConfig { max_waves: self.waves, prune_wal: self.prune_wal };
         let byz: Vec<Option<crate::ByzAttack>> = (0..n)
             .map(|i| self.faults.byzantine().find(|(b, _)| *b == i).map(|(_, a)| a))
             .collect();
@@ -166,11 +194,14 @@ impl Scenario {
         // still sweeping), removed once the outcome is harvested.
         let mut temp_dirs: Vec<std::path::PathBuf> = Vec::new();
         let procs: Vec<Party> = (0..n)
-            .map(|i| match byz[i] {
-                Some(attack) => {
+            .map(|i| match (byz[i], baseline_f) {
+                (Some(attack), _) => {
                     Party::Byzantine(ByzProcess::new(pid(i), n, attack, self.coin_seed()))
                 }
-                None => {
+                (None, Some(f)) => {
+                    Party::Baseline(DagRider::new(pid(i), n, f, self.coin_seed(), config))
+                }
+                (None, None) => {
                     let mut rider = AsymDagRider::new(
                         pid(i),
                         topology.quorums.clone(),
@@ -225,73 +256,80 @@ impl Scenario {
             };
         }
 
-        let outputs: Vec<Vec<OrderedVertex>> =
-            (0..n).map(|i| sim.outputs(pid(i)).to_vec()).collect();
-        let mut commit_logs = Vec::with_capacity(n);
-        let mut committers = Vec::with_capacity(n);
-        let mut dags = Vec::with_capacity(n);
-        let mut metrics = Vec::with_capacity(n);
-        let mut wal_replays = Vec::with_capacity(n);
-        let mut wal_stats = Vec::with_capacity(n);
-        let mut wal_snapshot_sizes = Vec::with_capacity(n);
-        let mut recovered = Vec::with_capacity(n);
-        let mut transfers = Vec::with_capacity(n);
-        for i in 0..n {
-            match sim.process(pid(i)).as_honest() {
-                Some(r) => {
-                    commit_logs.push(r.commit_log().to_vec());
-                    committers.push(Some(r.committer().clone()));
-                    dags.push(Some(r.dag().clone()));
-                    metrics.push(r.metrics());
-                    wal_replays.push(r.replay_storage().map(|res| res.map_err(|e| e.to_string())));
-                    wal_stats.push(r.storage().map(|l| l.stats()));
-                    wal_snapshot_sizes.push(r.storage().map(|l| l.snapshot_sizes().to_vec()));
-                    recovered.push(r.has_recovered());
-                    transfers.push(Some(r.transfer_stats()));
-                }
-                None => {
-                    commit_logs.push(Vec::new());
-                    committers.push(None);
-                    dags.push(None);
-                    metrics.push(RiderMetrics::default());
-                    wal_replays.push(None);
-                    wal_stats.push(None);
-                    wal_snapshot_sizes.push(None);
-                    recovered.push(false);
-                    transfers.push(None);
-                }
-            }
-        }
-
-        for dir in temp_dirs {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-
-        let faulty = self.faults.faulty_set();
-        let honest: ProcessSet = (0..n).filter(|i| byz[*i].is_none()).collect();
-        Ok(ScenarioOutcome {
+        // One path for every party: the consensus state both protocols
+        // share, then what only an asymmetric rider has (WAL, recovery,
+        // state transfer). Attackers report empty or `None` throughout.
+        let parties: Vec<&Party> = (0..n).map(|i| sim.process(pid(i))).collect();
+        let riders: Vec<Option<&AsymDagRider>> = parties.iter().map(|p| p.as_honest()).collect();
+        let committers: Vec<Option<WaveCommitter>> =
+            parties.iter().map(|p| p.committer().cloned()).collect();
+        let commit_logs =
+            committers.iter().map(|c| c.as_ref().map_or_else(Vec::new, |c| c.log().to_vec()));
+        let logs: Vec<Option<&DagLog>> =
+            riders.iter().map(|r| r.and_then(AsymDagRider::storage)).collect();
+        let outcome = ScenarioOutcome {
             scenario: self.clone(),
             quiescent: report.quiescent,
             steps: report.steps,
             time: sim.now(),
             net: sim.stats(),
-            outputs,
-            commit_logs,
+            outputs: (0..n).map(|i| sim.outputs(pid(i)).to_vec()).collect(),
+            commit_logs: commit_logs.collect(),
+            dags: parties.iter().map(|p| p.dag().cloned()).collect(),
+            metrics: parties.iter().map(|p| p.metrics()).collect(),
+            wal_replays: riders
+                .iter()
+                .map(|r| {
+                    r.and_then(|r| r.replay_storage()).map(|res| res.map_err(|e| e.to_string()))
+                })
+                .collect(),
+            wal_stats: logs.iter().map(|l| l.map(DagLog::stats)).collect(),
+            wal_snapshot_sizes: logs
+                .iter()
+                .map(|l| l.map(|l| l.snapshot_sizes().to_vec()))
+                .collect(),
+            recovered: riders.iter().map(|r| r.is_some_and(AsymDagRider::has_recovered)).collect(),
+            transfers: riders.iter().map(|r| r.map(AsymDagRider::transfer_stats)).collect(),
             committers,
-            dags,
-            metrics,
-            wal_replays,
-            wal_stats,
-            wal_snapshot_sizes,
-            recovered,
-            transfers,
             restart_fired: (0..n).map(|i| sim.was_recovered(pid(i))).collect(),
             injected,
-            honest,
-            correct: faulty.complement(n),
-            guild: maximal_guild(&topology.fail_prone, &topology.quorums, &faulty),
+            honest: (0..n).filter(|i| byz[*i].is_none()).collect(),
+            correct: self.faults.faulty_set().complement(n),
+            guild: maximal_guild(
+                &topology.fail_prone,
+                &topology.quorums,
+                &self.faults.faulty_set(),
+            ),
             topology,
-        })
+        };
+
+        for dir in temp_dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        Ok(outcome)
+    }
+
+    /// The baseline's threshold `f`, or why the baseline cannot run here.
+    fn baseline_threshold(&self) -> Result<usize, ScenarioError> {
+        let TopologySpec::UniformThreshold { n, f } = self.topology else {
+            return Err(ScenarioError::BaselineUnsupported(
+                "it needs a uniform-threshold topology",
+            ));
+        };
+        if n <= 3 * f {
+            return Err(ScenarioError::BaselineUnsupported("it needs n > 3f"));
+        }
+        let restarts = self
+            .faults
+            .assignments()
+            .iter()
+            .any(|(_, f)| matches!(f, Fault::Restart { .. } | Fault::ByzantineRestart { .. }));
+        if restarts || self.wal_everywhere {
+            return Err(ScenarioError::BaselineUnsupported(
+                "it has no write-ahead log to restart from",
+            ));
+        }
+        Ok(f)
     }
 
     /// Executes the scenario, panicking with the reproduction tuple if it
@@ -371,6 +409,19 @@ mod tests {
     }
 
     #[test]
+    fn latency_scheduler_drives_the_simulated_clock() {
+        // Without latency the clock counts delivery steps; with long
+        // per-message latencies in a small system it runs ahead of them.
+        let random = base().run();
+        assert_eq!(random.time, random.steps);
+        let mut latency = base().waves(3);
+        latency.scheduler = SchedulerSpec::RandomLatency { min: 10, max: 100 };
+        let latency = latency.run();
+        assert!(latency.quiescent);
+        assert!(latency.time > latency.steps, "{} vs {}", latency.time, latency.steps);
+    }
+
+    #[test]
     fn equal_scenarios_equal_outcomes() {
         let a = base().run();
         let b = base().run();
@@ -415,5 +466,41 @@ mod tests {
         let spec = TopologySpec::RandomSlices { n: 6, slice: 2, f: 1, seed: 7 };
         let s = Scenario::new(spec, FaultPlan::none(), SchedulerSpec::Fifo, 1);
         assert_eq!(s.try_run().unwrap_err(), ScenarioError::TopologyUnavailable(spec));
+    }
+
+    #[test]
+    fn baseline_refuses_cells_it_cannot_run() {
+        let baseline = |topology, faults| {
+            Scenario::new(topology, faults, SchedulerSpec::Fifo, 1)
+                .waves(2)
+                .protocol(ProtocolSpec::DagRider)
+        };
+        let unsupported = |s: Scenario| match s.try_run() {
+            Err(ScenarioError::BaselineUnsupported(reason)) => reason,
+            other => panic!("{s}: expected BaselineUnsupported, got {:?}", other.map(|o| o.steps)),
+        };
+        let ripple = TopologySpec::RippleUnl { n: 7, unl: 6, f: 1 };
+        assert!(unsupported(baseline(ripple, FaultPlan::none())).contains("uniform-threshold"));
+        let threshold = TopologySpec::UniformThreshold { n: 4, f: 1 };
+        let restart = FaultPlan::none().with(1, Fault::Restart { crash_at: 50, recover_at: 500 });
+        assert!(unsupported(baseline(threshold, restart)).contains("write-ahead log"));
+        let byz_restart = FaultPlan::none().with(
+            1,
+            Fault::ByzantineRestart {
+                attack: ByzAttack::ConfirmFlood,
+                crash_at: 50,
+                recover_at: 500,
+            },
+        );
+        assert!(unsupported(baseline(threshold, byz_restart)).contains("write-ahead log"));
+        let everywhere = baseline(threshold, FaultPlan::none()).wal_everywhere(true);
+        assert!(unsupported(everywhere).contains("write-ahead log"));
+        let unsound = TopologySpec::UniformThreshold { n: 6, f: 2 };
+        assert!(unsupported(baseline(unsound, FaultPlan::none())).contains("n > 3f"));
+        // The same cell runs once the protocol is the asymmetric one.
+        assert!(baseline(ripple, FaultPlan::none())
+            .protocol(ProtocolSpec::AsymDagRider)
+            .try_run()
+            .is_ok());
     }
 }

@@ -249,6 +249,27 @@ impl core::fmt::Display for StorageSpec {
     }
 }
 
+/// Which consensus protocol the honest processes of a scenario run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ProtocolSpec {
+    /// Asymmetric DAG-Rider (Algorithms 4–6) over the topology's quorums.
+    AsymDagRider,
+    /// The symmetric DAG-Rider baseline (Keidar et al.) with `n − f`
+    /// thresholds. It needs a threshold `f`, so it runs only on
+    /// [`TopologySpec::UniformThreshold`], and it has no write-ahead log, so
+    /// it runs no restart fault and no all-pruned cell.
+    DagRider,
+}
+
+impl core::fmt::Display for ProtocolSpec {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            ProtocolSpec::AsymDagRider => write!(f, "asym-dag-rider"),
+            ProtocolSpec::DagRider => write!(f, "dag-rider"),
+        }
+    }
+}
+
 /// A delivery-adversary family; the scenario seed supplies its randomness.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SchedulerSpec {
@@ -379,6 +400,9 @@ pub struct Scenario {
     /// deep laggard can only recover through delivered-state transfer
     /// (no peer retains the full DAG to serve a plain `FetchReply`).
     pub wal_everywhere: bool,
+    /// The protocol the honest processes run (asymmetric DAG-Rider unless
+    /// set otherwise).
+    pub protocol: ProtocolSpec,
 }
 
 impl Scenario {
@@ -404,6 +428,7 @@ impl Scenario {
             storage: StorageSpec::Mem,
             prune_wal: true,
             wal_everywhere: false,
+            protocol: ProtocolSpec::AsymDagRider,
         }
     }
 
@@ -456,6 +481,12 @@ impl Scenario {
         self
     }
 
+    /// Selects the protocol the honest processes run (builder-style).
+    pub fn protocol(mut self, protocol: ProtocolSpec) -> Self {
+        self.protocol = protocol;
+        self
+    }
+
     /// The shared coin seed: derived from the scenario seed but decorrelated
     /// from the scheduler's RNG stream.
     pub fn coin_seed(&self) -> u64 {
@@ -464,7 +495,8 @@ impl Scenario {
 
     /// The human-readable `(topology, fault plan, scheduler, seed)` cell
     /// label printed by sweep tables and failure reports. Cells with a
-    /// write-ahead log (any restart fault) also name the persistence axis.
+    /// write-ahead log (any restart fault) also name the persistence axis,
+    /// and baseline cells name their protocol.
     pub fn cell(&self) -> String {
         let mut cell = format!(
             "(topology={}, faults={}, scheduler={}, seed={})",
@@ -479,13 +511,17 @@ impl Scenario {
                 if self.wal_everywhere { ", everywhere" } else { "" }
             ));
         }
+        if self.protocol != ProtocolSpec::AsymDagRider {
+            cell.push_str(&format!(" protocol={}", self.protocol));
+        }
         cell
     }
 
     /// A copy-pasteable reproduction of this scenario: a constructor
     /// expression that compiles verbatim under
-    /// `use asym_scenarios::{ByzAttack, Fault, FaultPlan, Scenario, SchedulerSpec, StorageSpec, TopologySpec};`
-    /// and rebuilds an equal `Scenario`.
+    /// `use asym_scenarios::{ByzAttack, Fault, FaultPlan, ProtocolSpec, Scenario, SchedulerSpec, StorageSpec, TopologySpec};`
+    /// and rebuilds an equal `Scenario`. The protocol is named only when it
+    /// is not the default.
     pub fn repro(&self) -> String {
         let faults = if self.faults.assignments().is_empty() {
             "FaultPlan::none()".to_string()
@@ -533,10 +569,15 @@ impl Scenario {
                 )
             }
         };
+        let protocol = if self.protocol == ProtocolSpec::AsymDagRider {
+            String::new()
+        } else {
+            format!(".protocol(ProtocolSpec::{:?})", self.protocol)
+        };
         format!(
             "Scenario::new(TopologySpec::{:?}, {faults}, {scheduler}, {}).waves({})\
              .blocks_per_process({}).txs_per_block({}).max_steps({}).snapshot_every({})\
-             .storage(StorageSpec::{:?}).prune_wal({}).wal_everywhere({})",
+             .storage(StorageSpec::{:?}).prune_wal({}).wal_everywhere({}){protocol}",
             self.topology,
             self.seed,
             self.waves,
@@ -716,6 +757,11 @@ mod tests {
             assert!(cell.contains(needle), "{cell} missing {needle}");
         }
         assert!(s.repro().contains("UniformThreshold"));
+        // Only a baseline cell names its protocol, so every existing label
+        // and repro string stays as it was.
+        assert!(!cell.contains("protocol") && !s.repro().contains("protocol"), "{cell}");
+        let baseline = s.protocol(ProtocolSpec::DagRider);
+        assert!(baseline.cell().ends_with(" protocol=dag-rider"), "{}", baseline.cell());
     }
 
     #[test]
@@ -769,6 +815,92 @@ mod tests {
              .max_steps(500000000).snapshot_every(0)\
              .storage(StorageSpec::PowerlossFile { seed: 9 }).prune_wal(false)\
              .wal_everywhere(true)"
+        );
+        // A baseline cell, the Figure-1 system and the mixed-threshold
+        // family, each rebuilt from the printed expression.
+        let baseline = Scenario::new(
+            TopologySpec::UniformThreshold { n: 7, f: 2 },
+            FaultPlan::crash_from_start([6]),
+            SchedulerSpec::Fifo,
+            3,
+        )
+        .protocol(ProtocolSpec::DagRider);
+        assert_eq!(
+            baseline.repro(),
+            "Scenario::new(TopologySpec::UniformThreshold { n: 7, f: 2 }, \
+             FaultPlan::new([(6, Fault::Crash)]), SchedulerSpec::Fifo, 3).waves(6)\
+             .blocks_per_process(1).txs_per_block(2).max_steps(500000000).snapshot_every(64)\
+             .storage(StorageSpec::Mem).prune_wal(true).wal_everywhere(false)\
+             .protocol(ProtocolSpec::DagRider)"
+        );
+        assert_eq!(
+            Scenario::new(
+                TopologySpec::UniformThreshold { n: 7, f: 2 },
+                FaultPlan::new([(6, Fault::Crash)]),
+                SchedulerSpec::Fifo,
+                3,
+            )
+            .waves(6)
+            .blocks_per_process(1)
+            .txs_per_block(2)
+            .max_steps(500000000)
+            .snapshot_every(64)
+            .storage(StorageSpec::Mem)
+            .prune_wal(true)
+            .wal_everywhere(false)
+            .protocol(ProtocolSpec::DagRider),
+            baseline
+        );
+        let figure1 =
+            Scenario::new(TopologySpec::Figure1, FaultPlan::none(), SchedulerSpec::Random, 8)
+                .waves(5);
+        assert_eq!(
+            figure1.repro(),
+            "Scenario::new(TopologySpec::Figure1, FaultPlan::none(), SchedulerSpec::Random, 8)\
+             .waves(5).blocks_per_process(1).txs_per_block(2).max_steps(500000000)\
+             .snapshot_every(64).storage(StorageSpec::Mem).prune_wal(true).wal_everywhere(false)"
+        );
+        assert_eq!(
+            Scenario::new(TopologySpec::Figure1, FaultPlan::none(), SchedulerSpec::Random, 8)
+                .waves(5)
+                .blocks_per_process(1)
+                .txs_per_block(2)
+                .max_steps(500000000)
+                .snapshot_every(64)
+                .storage(StorageSpec::Mem)
+                .prune_wal(true)
+                .wal_everywhere(false),
+            figure1
+        );
+        let mixed = Scenario::new(
+            TopologySpec::MixedThresholds { n: 7, f: 2, f0: 1 },
+            FaultPlan::none(),
+            SchedulerSpec::Random,
+            3,
+        );
+        assert_eq!(
+            mixed.repro(),
+            "Scenario::new(TopologySpec::MixedThresholds { n: 7, f: 2, f0: 1 }, \
+             FaultPlan::none(), SchedulerSpec::Random, 3).waves(6).blocks_per_process(1)\
+             .txs_per_block(2).max_steps(500000000).snapshot_every(64)\
+             .storage(StorageSpec::Mem).prune_wal(true).wal_everywhere(false)"
+        );
+        assert_eq!(
+            Scenario::new(
+                TopologySpec::MixedThresholds { n: 7, f: 2, f0: 1 },
+                FaultPlan::none(),
+                SchedulerSpec::Random,
+                3,
+            )
+            .waves(6)
+            .blocks_per_process(1)
+            .txs_per_block(2)
+            .max_steps(500000000)
+            .snapshot_every(64)
+            .storage(StorageSpec::Mem)
+            .prune_wal(true)
+            .wal_everywhere(false),
+            mixed
         );
     }
 

@@ -12,53 +12,41 @@ fn main() {
     // 1. Trust: a heterogeneous system — most processes tolerate 2 failures,
     //    a cautious one (p0) tolerates only 1. B³ must hold for a quorum
     //    system to exist at all (Theorem 2.4).
-    let n = 7;
-    let mut systems = vec![FailProneSystem::threshold(n, 2); n];
-    systems[0] = FailProneSystem::threshold(n, 1);
-    let fail_prone = AsymFailProneSystem::new(systems).expect("well-formed");
-    assert!(fail_prone.satisfies_b3(), "trust assumptions admit no quorum system");
-    let quorums = fail_prone.canonical_quorums();
-    quorums.validate(&fail_prone).expect("consistent + available");
-
-    let topo = topology::Topology {
-        name: "quickstart(n=7, mixed thresholds)".into(),
-        fail_prone,
-        quorums,
-    };
+    let spec = TopologySpec::MixedThresholds { n: 7, f: 2, f0: 1 };
+    let topo = spec.build().expect("closed-form family");
+    assert!(topo.fail_prone.satisfies_b3(), "trust assumptions admit no quorum system");
+    topo.quorums.validate(&topo.fail_prone).expect("consistent + available");
     println!("topology: {}", topo.name);
     println!("smallest quorum c(Q) = {}", topo.quorums.min_quorum_size());
 
     // 2. Run: 6 waves under a random asynchronous schedule, with process 6
     //    crashed from the start and 3 blocks of client transactions per
-    //    correct process.
-    let report = Cluster::new(topo)
-        .adversary(Adversary::Random(2024))
-        .crash([6])
-        .waves(6)
-        .blocks_per_process(3)
-        .txs_per_block(4)
-        .run_asymmetric();
+    //    correct process. The invariant checkers audit the execution:
+    //    identical order at every honest process (ids and blocks), no
+    //    duplicates, no fabricated blocks, liveness of the guild, …
+    let scenario =
+        Scenario::new(spec, FaultPlan::crash_from_start([6]), SchedulerSpec::Random, 2024)
+            .waves(6)
+            .blocks_per_process(3)
+            .txs_per_block(4);
+    let outcome = checks::run_and_check_all(&scenario).unwrap_or_else(|e| panic!("{e}"));
 
-    let guild = report.guild.clone().expect("crashing p6 keeps a guild");
+    let guild = outcome.guild.clone().expect("crashing p6 keeps a guild");
     println!("faulty = {{6}}; maximal guild = {guild}");
-    assert!(report.quiescent);
 
-    // 3. Verify and display: identical order at every guild member.
-    report.assert_total_order(&guild);
+    // 3. Display the order one guild member delivered.
     let reference = guild.first().unwrap();
-    println!(
-        "\natomic broadcast order at {reference} ({} vertices):",
-        report.outputs[reference.index()].len()
-    );
-    for o in report.outputs[reference.index()].iter().take(12) {
+    let order = &outcome.outputs[reference.index()];
+    println!("\natomic broadcast order at {reference} ({} vertices):", order.len());
+    for o in order.iter().take(12) {
         println!("  wave {}  {}  txs {:?}", o.committed_in_wave, o.id, o.block.txs);
     }
-    if report.outputs[reference.index()].len() > 12 {
+    if order.len() > 12 {
         println!("  …");
     }
 
     for g in &guild {
-        let m = &report.metrics[g.index()];
+        let m = &outcome.metrics[g.index()];
         println!(
             "{g}: round {}, committed {}/{} waves, ordered {} txs",
             m.round, m.waves_committed, m.waves_attempted, m.txs_ordered
@@ -66,7 +54,7 @@ fn main() {
     }
     println!(
         "\nnetwork: {} sent, {} delivered, {} steps",
-        report.net.sent, report.net.delivered, report.steps
+        outcome.net.sent, outcome.net.delivered, outcome.steps
     );
     println!("total order verified across the whole guild ✓");
 }

@@ -9,6 +9,32 @@
 
 use asym_dag_rider::prelude::*;
 
+/// Runs one checked cell: 8 waves, 3 blocks of 8 txs per process, p4
+/// crashed, random 5–50 unit link latency.
+fn run(topology: TopologySpec, protocol: ProtocolSpec) -> ScenarioOutcome {
+    let scenario = Scenario::new(
+        topology,
+        FaultPlan::crash_from_start([4]),
+        SchedulerSpec::RandomLatency { min: 5, max: 50 },
+        3,
+    )
+    .waves(8)
+    .blocks_per_process(3)
+    .txs_per_block(8)
+    .protocol(protocol);
+    checks::run_and_check_all(&scenario).unwrap_or_else(|e| panic!("{e}"))
+}
+
+fn report(label: &str, outcome: &ScenarioOutcome) {
+    println!(
+        "  {label}: {} waves/commit, {} txs ordered, {} messages, simulated time {}",
+        outcome.waves_per_commit().map(|w| format!("{w:.2}")).unwrap_or_else(|| "∞".into()),
+        outcome.max_txs_ordered(),
+        outcome.net.sent,
+        outcome.time
+    );
+}
+
 fn main() {
     let n = 10;
 
@@ -25,44 +51,13 @@ fn main() {
     }
 
     // ---- Consensus on the sound configuration. ----
-    let t = topology::ripple_unl(n, 8, 1);
-    t.quorums.validate(&t.fail_prone).expect("valid");
-    println!("\nrunning {} with one crashed validator (p4)…", t.name);
-    let report = Cluster::new(t.clone())
-        .adversary(Adversary::Latency { seed: 3, min: 5, max: 50 })
-        .crash([4])
-        .waves(8)
-        .blocks_per_process(3)
-        .txs_per_block(8)
-        .run_asymmetric();
-    let guild = report.guild.clone().expect("guild survives one crash");
-    report.assert_total_order(&guild);
-    println!(
-        "  asymmetric DAG-Rider: {} waves/commit, {} txs ordered, \
-         {} messages, simulated time {}",
-        report.waves_per_commit().map(|w| format!("{w:.2}")).unwrap_or_else(|| "∞".into()),
-        report.max_txs_ordered(),
-        report.net.sent,
-        report.time
-    );
+    let ripple = TopologySpec::RippleUnl { n, unl: 8, f: 1 };
+    println!("\nrunning {ripple} with one crashed validator (p4)…");
+    report("asymmetric DAG-Rider", &run(ripple, ProtocolSpec::AsymDagRider));
 
     // ---- Baseline: symmetric DAG-Rider with the equivalent threshold. ----
-    let baseline = Cluster::new(t)
-        .adversary(Adversary::Latency { seed: 3, min: 5, max: 50 })
-        .crash([4])
-        .waves(8)
-        .blocks_per_process(3)
-        .txs_per_block(8)
-        .run_baseline(1);
-    baseline.assert_total_order(&ProcessSet::from_indices((0..n).filter(|i| *i != 4)));
-    println!(
-        "  symmetric baseline (f=1): {} waves/commit, {} txs ordered, \
-         {} messages, simulated time {}",
-        baseline.waves_per_commit().map(|w| format!("{w:.2}")).unwrap_or_else(|| "∞".into()),
-        baseline.max_txs_ordered(),
-        baseline.net.sent,
-        baseline.time
-    );
+    let threshold = TopologySpec::UniformThreshold { n, f: 1 };
+    report("symmetric baseline (f=1)", &run(threshold, ProtocolSpec::DagRider));
     println!(
         "\nthe asymmetric run pays extra control messages (ACK/READY/CONFIRM) \
          for per-validator trust autonomy — the paper's central trade-off."

@@ -15,35 +15,31 @@
 //! | [`dag`] | certified-DAG substrate: vertices, store, reachability, waves |
 //! | [`storage`] | persistent DAG event log: checksummed WAL, snapshots, in-memory & file backends, crash-recovery replay |
 //! | [`core`] | DAG-Rider (baseline) and asymmetric DAG-Rider (Algorithms 4–6), with WAL-backed crash recovery |
+//! | [`scenarios`] | the one execution harness: a `Scenario` (topology × fault plan × scheduler × seed × protocol) run and audited by the invariant checkers |
 //!
-//! This umbrella crate re-exports everything and adds the [`Cluster`]
-//! harness used by the examples, integration tests and experiment binaries.
+//! This umbrella crate re-exports everything. Every consensus execution —
+//! in the examples, the integration tests and the experiment binaries — is
+//! a [`Scenario`](scenarios::Scenario) audited by
+//! [`checks::run_and_check_all`](scenarios::checks::run_and_check_all).
 //!
 //! ## Quick start
 //!
 //! ```
-//! use asym_dag_rider::{Adversary, Cluster};
-//! use asym_quorum::{topology, ProcessSet};
+//! use asym_dag_rider::prelude::*;
 //!
 //! // A 7-process Ripple-style trust topology (overlapping UNLs).
-//! let t = topology::ripple_unl(7, 6, 1);
-//! assert!(t.fail_prone.satisfies_b3());
+//! let spec = TopologySpec::RippleUnl { n: 7, unl: 6, f: 1 };
+//! assert!(spec.build().unwrap().fail_prone.satisfies_b3());
 //!
-//! let report = Cluster::new(t)
-//!     .adversary(Adversary::Random(99))
-//!     .waves(4)
-//!     .run_asymmetric();
-//!
-//! assert!(report.quiescent);
-//! report.assert_total_order(&ProcessSet::full(7));
+//! let scenario = Scenario::new(spec, FaultPlan::none(), SchedulerSpec::Random, 99).waves(4);
+//! // Runs the execution and audits total order, integrity, validity,
+//! // DAG well-formedness, guild liveness and the rest of the suite.
+//! let outcome = checks::run_and_check_all(&scenario).unwrap_or_else(|e| panic!("{e}"));
+//! assert!(outcome.quiescent);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-mod cluster;
-
-pub use cluster::{Adversary, Cluster, ClusterReport, HasMetrics};
 
 pub use asym_broadcast as broadcast;
 pub use asym_core as core;
@@ -51,6 +47,7 @@ pub use asym_crypto as crypto;
 pub use asym_dag as dag;
 pub use asym_gather as gather;
 pub use asym_quorum as quorum;
+pub use asym_scenarios as scenarios;
 pub use asym_sim as sim;
 pub use asym_storage as storage;
 
@@ -63,8 +60,10 @@ pub mod prelude {
         maximal_guild, topology, AsymFailProneSystem, AsymQuorumSystem, FailProneSystem, ProcessId,
         ProcessSet, QuorumSystem,
     };
+    pub use asym_scenarios::{
+        checks, Fault, FaultPlan, ProtocolSpec, Scenario, ScenarioOutcome, SchedulerSpec,
+        TopologySpec,
+    };
     pub use asym_sim::{scheduler, FaultMode, Simulation};
     pub use asym_storage::{MemStorage, Storage, StorageBackend};
-
-    pub use crate::cluster::{Adversary, Cluster, ClusterReport};
 }

@@ -2,13 +2,11 @@
 //! (Definition 4.1 — agreement, validity, total order, integrity) across
 //! topologies × adversaries × failure patterns.
 //!
-//! Cells over the named topology families run as `asym_scenarios` cells
-//! under the full checker suite (which subsumes the agreement / total-order
-//! / integrity assertions this file used to hand-roll). Custom topologies
-//! (Figure 1, mixed thresholds) keep the `Cluster` harness and borrow the
-//! shared `assert_prefix_consistent` checker.
+//! Every cell runs as an `asym_scenarios` cell under the full checker suite
+//! (which subsumes the agreement / total-order / integrity assertions this
+//! file used to hand-roll), including the paper's Figure-1 system and a
+//! mixed-threshold system.
 
-use asym_dag_rider::prelude::*;
 use asym_scenarios::{checks, Fault, FaultPlan, Scenario, SchedulerSpec, TopologySpec};
 
 /// Runs one scenario cell under every Definition-4.1 checker.
@@ -129,51 +127,14 @@ fn mute_and_mid_run_crash_under_latency() {
 
 #[test]
 fn figure1_counterexample_topology() {
-    // Custom topology (no TopologySpec family): runs on the Cluster harness
-    // with the shared prefix-consistency checker.
-    let topo = topology::Topology {
-        name: "figure-1".into(),
-        fail_prone: asym_dag_rider::quorum::counterexample::fig1_fail_prone(),
-        quorums: asym_dag_rider::quorum::counterexample::fig1_quorums(),
-    };
-    let report = Cluster::new(topo)
-        .adversary(Adversary::Random(8))
-        .waves(5)
-        .blocks_per_process(2)
-        .txs_per_block(3)
-        .run_asymmetric();
-    assert!(report.quiescent);
-    checks::assert_prefix_consistent(&report.outputs);
-    checks::assert_no_duplicates(&report.outputs);
-    let guild = report.guild.clone().expect("fault-free figure-1 has a guild");
-    for g in &guild {
-        assert!(!report.outputs[g.index()].is_empty(), "guild member {g} ordered nothing");
-    }
+    // The paper's own 30-process setting, all processes correct.
+    check(TopologySpec::Figure1, SchedulerSpec::Random, &[], 8, 5);
 }
 
 #[test]
 fn mixed_thresholds_topology() {
     // One cautious process (f=1), the rest f=2, n=7 — B3 holds.
-    let mut systems = vec![FailProneSystem::threshold(7, 2); 7];
-    systems[0] = FailProneSystem::threshold(7, 1);
-    let fail_prone = AsymFailProneSystem::new(systems).unwrap();
-    assert!(fail_prone.satisfies_b3());
-    let quorums = fail_prone.canonical_quorums();
-    let topo = topology::Topology { name: "mixed-thresholds".into(), fail_prone, quorums };
-    let report = Cluster::new(topo)
-        .adversary(Adversary::Random(3))
-        .crash([6])
-        .waves(8)
-        .blocks_per_process(2)
-        .txs_per_block(3)
-        .run_asymmetric();
-    assert!(report.quiescent);
-    checks::assert_prefix_consistent(&report.outputs);
-    checks::assert_no_duplicates(&report.outputs);
-    let guild = report.guild.clone().expect("one crash keeps a guild");
-    for g in &guild {
-        assert!(!report.outputs[g.index()].is_empty(), "guild member {g} ordered nothing");
-    }
+    check(TopologySpec::MixedThresholds { n: 7, f: 2, f0: 1 }, SchedulerSpec::Random, &[6], 3, 8);
 }
 
 #[test]

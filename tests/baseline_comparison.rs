@@ -1,39 +1,41 @@
 //! Head-to-head: asymmetric DAG-Rider vs. the symmetric baseline on the
-//! *same* workload, scheduler and coin — the BASE experiment of the
-//! suite. On uniform-threshold topologies both must be safe and
-//! live; the asymmetric variant pays extra control messages.
+//! *same* cell — topology, workload, scheduler and coin — the BASE
+//! experiment of the suite. On uniform-threshold topologies both must pass
+//! every invariant checker; the asymmetric variant pays extra control
+//! messages.
 
-use asym_dag_rider::prelude::*;
+use asym_scenarios::{
+    checks, FaultPlan, ProtocolSpec, Scenario, ScenarioOutcome, SchedulerSpec, TopologySpec,
+};
 
-fn run_pair(n: usize, f: usize, seed: u64, waves: u64) -> (ClusterReport, ClusterReport) {
-    let t = topology::uniform_threshold(n, f);
-    let asym = Cluster::new(t.clone())
-        .adversary(Adversary::Random(seed))
+/// Runs one cell under the given protocol and audits it with the full suite.
+fn run(scenario: &Scenario, protocol: ProtocolSpec) -> ScenarioOutcome {
+    let scenario = scenario.clone().protocol(protocol);
+    checks::run_and_check_all(&scenario).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The same fault-free cell under both protocols: `(asymmetric, baseline)`.
+fn run_pair(cell: Scenario) -> (ScenarioOutcome, ScenarioOutcome) {
+    (run(&cell, ProtocolSpec::AsymDagRider), run(&cell, ProtocolSpec::DagRider))
+}
+
+fn cell(n: usize, f: usize, scheduler: SchedulerSpec, seed: u64, waves: u64) -> Scenario {
+    Scenario::new(TopologySpec::UniformThreshold { n, f }, FaultPlan::none(), scheduler, seed)
         .waves(waves)
         .blocks_per_process(2)
-        .run_asymmetric();
-    let sym = Cluster::new(t)
-        .adversary(Adversary::Random(seed))
-        .waves(waves)
-        .blocks_per_process(2)
-        .run_baseline(f);
-    (asym, sym)
 }
 
 #[test]
 fn both_protocols_safe_and_live_on_threshold_topology() {
-    let (asym, sym) = run_pair(4, 1, 10, 6);
-    let everyone = ProcessSet::full(4);
-    for r in [&asym, &sym] {
-        assert!(r.quiescent);
-        r.assert_total_order(&everyone);
-        assert!(r.outputs.iter().all(|o| !o.is_empty()));
+    let (asym, sym) = run_pair(cell(4, 1, SchedulerSpec::Random, 10, 6));
+    for o in [&asym, &sym] {
+        assert!(o.outputs.iter().all(|o| !o.is_empty()));
     }
 }
 
 #[test]
 fn asymmetric_variant_pays_control_message_overhead() {
-    let (asym, sym) = run_pair(4, 1, 3, 6);
+    let (asym, sym) = run_pair(cell(4, 1, SchedulerSpec::Random, 3, 6));
     assert!(
         asym.net.sent > sym.net.sent,
         "ACK/READY/CONFIRM must add messages: {} vs {}",
@@ -48,21 +50,18 @@ fn asymmetric_variant_pays_control_message_overhead() {
 
 #[test]
 fn same_coin_same_leader_schedule() {
-    // With the same coin seed the two protocols elect the same leaders, so
+    // One cell, one coin: the two protocols elect the same leaders, so
     // committed-leader logs coincide on the waves both commit.
-    let t = topology::uniform_threshold(4, 1);
-    let config_waves = 6;
-    let asym =
-        Cluster::new(t.clone()).adversary(Adversary::Fifo).waves(config_waves).run_asymmetric();
-    let sym = Cluster::new(t).adversary(Adversary::Fifo).waves(config_waves).run_baseline(1);
-    // Outputs of the two protocols are internally consistent; cross-protocol
-    // orders also agree because coin, DAG shape (FIFO) and ordering rule
-    // coincide on this symmetric configuration.
+    let (asym, sym) = run_pair(cell(4, 1, SchedulerSpec::Fifo, 1, 6).blocks_per_process(1));
+    // Cross-protocol orders also agree because coin, DAG shape (FIFO) and
+    // ordering rule coincide on this symmetric configuration.
     let a: Vec<_> = asym.outputs[0].iter().map(|o| o.id).collect();
     let s: Vec<_> = sym.outputs[0].iter().map(|o| o.id).collect();
     let common = a.len().min(s.len());
     assert!(common > 0);
     assert_eq!(a[..common], s[..common], "leader schedule must coincide");
+    let logs = asym.commit_logs[0].len().min(sym.commit_logs[0].len());
+    assert_eq!(asym.commit_logs[0][..logs], sym.commit_logs[0][..logs]);
 }
 
 #[test]
@@ -71,22 +70,24 @@ fn commit_rate_scales_with_smallest_quorum_lemma_4_4() {
     // thresholds c(Q) = n − f, so the bound is n/(n−f) ≈ 1.5 at f = n/3;
     // with many waves the observed rate must stay well under 2.5 (geometric
     // tail) and above 1 (can't beat one commit per wave).
+    // The baseline's classic bound on the same cells is the same n/(n−f).
     for (n, f) in [(4usize, 1usize), (7, 2)] {
-        let t = topology::uniform_threshold(n, f);
-        let report = Cluster::new(t).adversary(Adversary::Fifo).waves(16).run_asymmetric();
-        let wpc = report.waves_per_commit().expect("commits must happen");
         let bound = n as f64 / (n - f) as f64;
-        assert!(
-            wpc >= 1.0 && wpc < bound * 2.0,
-            "n={n}, f={f}: observed {wpc:.2} waves/commit, Lemma 4.4 bound {bound:.2}"
-        );
+        let (asym, sym) = run_pair(cell(n, f, SchedulerSpec::Fifo, 1, 16));
+        for (name, o) in [("asymmetric", &asym), ("baseline", &sym)] {
+            let wpc = o.waves_per_commit().expect("commits must happen");
+            assert!(
+                wpc >= 1.0 && wpc < bound * 2.0,
+                "{name} n={n}, f={f}: observed {wpc:.2} waves/commit, Lemma 4.4 bound {bound:.2}"
+            );
+        }
     }
 }
 
 #[test]
 fn deterministic_replay_of_both_protocols() {
-    let (a1, s1) = run_pair(4, 1, 42, 4);
-    let (a2, s2) = run_pair(4, 1, 42, 4);
+    let (a1, s1) = run_pair(cell(4, 1, SchedulerSpec::Random, 42, 4));
+    let (a2, s2) = run_pair(cell(4, 1, SchedulerSpec::Random, 42, 4));
     assert_eq!(a1.outputs, a2.outputs);
     assert_eq!(s1.outputs, s2.outputs);
     assert_eq!(a1.net, a2.net);
@@ -95,10 +96,7 @@ fn deterministic_replay_of_both_protocols() {
 
 #[test]
 fn larger_cluster_smoke() {
-    let (asym, sym) = run_pair(10, 3, 5, 5);
-    let everyone = ProcessSet::full(10);
-    asym.assert_total_order(&everyone);
-    sym.assert_total_order(&everyone);
+    let (asym, sym) = run_pair(cell(10, 3, SchedulerSpec::Random, 5, 5));
     assert!(asym.max_txs_ordered() > 0);
     assert!(sym.max_txs_ordered() > 0);
 }

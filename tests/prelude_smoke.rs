@@ -1,8 +1,8 @@
 //! Workspace-wiring smoke test: every module re-exported by
 //! [`asym_dag_rider::prelude`] (and the crate-level re-exports behind it)
 //! must be importable, and a minimal 4-process symmetric configuration must
-//! run a few waves end-to-end through the umbrella crate's `Cluster`
-//! harness.
+//! run a few waves end-to-end as a checked scenario through the umbrella
+//! crate's re-exports.
 //!
 //! This test exists to catch manifest mistakes — a dropped dependency edge,
 //! a renamed crate, a module that stops being re-exported — before any
@@ -53,31 +53,32 @@ fn umbrella_module_re_exports_are_wired() {
     let _ = asym_dag_rider::sim::scheduler::Fifo;
     let v = asym_dag_rider::dag::VertexId::new(0, ProcessId::new(0));
     assert_eq!(v.round, 0);
-    // broadcast, gather and core are exercised indirectly by the cluster
-    // run below; here we only need their paths to resolve.
+    // broadcast, gather, core and scenarios are exercised indirectly by the
+    // scenario run below; here we only need their paths to resolve.
     use asym_dag_rider::broadcast as _;
     use asym_dag_rider::core as _;
     use asym_dag_rider::gather as _;
+    use asym_dag_rider::scenarios as _;
 }
 
 /// One 4-process symmetric (uniform-threshold) wave pipeline end-to-end:
 /// build, run, quiesce, and order the same transactions everywhere.
 #[test]
 fn four_process_symmetric_wave_end_to_end() {
-    let t = topology::uniform_threshold(4, 1);
-    let report: ClusterReport = Cluster::new(t)
-        .adversary(Adversary::Fifo)
-        .waves(4)
-        .blocks_per_process(1)
-        .txs_per_block(2)
-        .run_asymmetric();
+    let scenario = Scenario::new(
+        TopologySpec::UniformThreshold { n: 4, f: 1 },
+        FaultPlan::none(),
+        SchedulerSpec::Fifo,
+        1,
+    )
+    .waves(4);
+    let outcome: ScenarioOutcome =
+        checks::run_and_check_all(&scenario).unwrap_or_else(|e| panic!("{e}"));
 
-    assert!(report.quiescent, "4-process symmetric run must quiesce");
-    let members = ProcessSet::full(4);
-    report.assert_total_order(&members);
-    assert!(report.max_txs_ordered() > 0, "some transactions must be ordered");
-    for p in &members {
-        let delivered = report.delivered_txs(p);
+    assert!(outcome.quiescent, "4-process symmetric run must quiesce");
+    assert!(outcome.max_txs_ordered() > 0, "some transactions must be ordered");
+    for p in &ProcessSet::full(4) {
+        let delivered = outcome.delivered_txs(p);
         assert!(!delivered.is_empty(), "process {p} ordered nothing");
     }
 }
