@@ -21,7 +21,7 @@
 //!   quorum `Q ∈ Q_j` (for *any* process `j`, Algorithm 6 line 148) have
 //!   strong paths to it.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use asym_broadcast::BcastMsg;
 use asym_crypto::CommonCoin;
@@ -32,9 +32,10 @@ use asym_quorum::{AsymQuorumSystem, ProcessId, ProcessSet};
 use asym_sim::{Context, Protocol};
 use asym_storage::{DagEvent, RecoveredState, StorageError};
 
+use crate::catchup::{self, CatchUp};
 use crate::dagcore::{DagCore, DagLog};
-use crate::ordering::{CommitOutcome, WaveCommitter};
-use crate::transfer::{TransferState, TransferStats, WaveSegment};
+use crate::ordering::WaveCommitter;
+use crate::transfer::{TransferStats, WaveSegment};
 use crate::types::{Block, OrderedVertex, RiderConfig, RiderMetrics};
 
 /// Wire messages of asymmetric DAG-Rider: the arb layer carrying vertices,
@@ -69,9 +70,9 @@ pub enum AsymRiderMsg {
     },
     /// Point-to-point reply to [`AsymRiderMsg::Fetch`]: the responder's
     /// stored vertices above the requested round (parents first) and the
-    /// waves it has CONFIRMed. Fetched vertices bypass reliable broadcast,
-    /// so the requester only accepts a vertex once identical copies arrived
-    /// from one of its kernels (a set intersecting all its quorums).
+    /// waves it has CONFIRMed. A fetched vertex bypasses reliable
+    /// broadcast, so it is accepted only once a kernel of the requester
+    /// vouches for identical copies.
     FetchReply {
         /// Vertices from the responder's DAG, in `(round, source)` order.
         vertices: Vec<Vertex<Block>>,
@@ -96,10 +97,9 @@ pub enum AsymRiderMsg {
         above_wave: WaveId,
     },
     /// Point-to-point reply to [`AsymRiderMsg::StateRequest`]: per-wave
-    /// certified segments of the responder's delivered prefix. The
-    /// requester installs a segment only after bit-identical copies arrive
-    /// from one of **its own** kernels (≥ 1 honest corroborator under its
-    /// trust assumption), so a lone equivocator cannot forge state.
+    /// certified segments of the responder's delivered prefix, installed
+    /// only once one of the requester's **own** kernels vouches for
+    /// identical copies, so a lone equivocator cannot forge state.
     StateChunk {
         /// Decided waves above the requested watermark, in wave order.
         segments: Vec<WaveSegment>,
@@ -116,6 +116,16 @@ struct WaveControl {
     t_ready: bool,
 }
 
+impl WaveControl {
+    /// Marks the wave's ladder done: tReady reached, READY and CONFIRM
+    /// counted as sent.
+    fn finish(&mut self) {
+        self.t_ready = true;
+        self.sent_ready = true;
+        self.sent_confirm = true;
+    }
+}
+
 /// One process of asymmetric DAG-Rider (Algorithms 4–6).
 ///
 /// *Input*: blocks to `aa-broadcast`. *Output*: [`OrderedVertex`] events in
@@ -129,22 +139,9 @@ pub struct AsymDagRider {
     coin: CommonCoin,
     control: HashMap<WaveId, WaveControl>,
     acked_vertices: HashSet<VertexId>,
-    /// `true` once this process has restarted from its log at least once;
-    /// enables the stalled-buffer refetch heuristic.
-    recovering: bool,
-    /// Fetched vertices awaiting identical copies from a kernel of mine
-    /// (id → the distinct copies seen, each with who vouched for it; one
-    /// vote per responder per id, so the list is bounded by `n` and a
-    /// Byzantine first responder cannot veto the genuine copy).
-    fetch_pending: HashMap<VertexId, Vec<(Vertex<Block>, ProcessSet)>>,
-    /// The missing-parent set of the last refetch, to bound refetch traffic.
-    last_missing: BTreeSet<VertexId>,
-    /// `true` if the most recent fetch replies added vouching votes — the
-    /// signal that one more refetch round may complete a kernel.
-    fetch_progress: bool,
-    /// Receiver-side delivered-state-transfer bookkeeping: per-wave segment
-    /// votes awaiting kernel corroboration, plus activity counters.
-    transfer: TransferState,
+    /// Crash-recovery bookkeeping: kernel votes on fetched vertices and
+    /// transferred state, refetch and state-request tracking.
+    catchup: CatchUp,
     /// Block payloads of delivered vertices absent from the DAG (pruned
     /// after delivery, or installed via state transfer) — what this process
     /// serves to deep laggards in place of the garbage-collected vertices.
@@ -167,11 +164,7 @@ impl AsymDagRider {
             coin: CommonCoin::new(coin_seed, n),
             control: HashMap::new(),
             acked_vertices: HashSet::new(),
-            recovering: false,
-            fetch_pending: HashMap::new(),
-            last_missing: BTreeSet::new(),
-            fetch_progress: false,
-            transfer: TransferState::new(),
+            catchup: CatchUp::default(),
             delivered_blocks: HashMap::new(),
         }
     }
@@ -205,7 +198,7 @@ impl AsymDagRider {
 
     /// `true` once this process has restarted from its log.
     pub fn has_recovered(&self) -> bool {
-        self.recovering
+        self.catchup.recovering()
     }
 
     /// The local DAG (observer inspection).
@@ -239,7 +232,7 @@ impl AsymDagRider {
     /// the scenario harness uses them to prove a deep laggard really
     /// recovered through state transfer rather than plain fetch).
     pub fn transfer_stats(&self) -> TransferStats {
-        self.transfer.stats()
+        self.catchup.transfer_stats()
     }
 
     /// The transferable block residue: delivered vertices whose full
@@ -252,25 +245,13 @@ impl AsymDagRider {
         v
     }
 
-    /// The asymmetric commit rule (Algorithm 6, line 148): all round-4
-    /// vertices of some quorum of *any* process reach the leader by strong
-    /// paths.
-    fn commit_rule(quorums: &AsymQuorumSystem, dag: &DagStore<Block>, leader: VertexId) -> bool {
-        let w = wave_of_round(leader.round);
-        let r4 = round_of_wave(w, 4);
-        let committers: ProcessSet = dag
-            .sources_in_round(r4)
-            .iter()
-            .filter(|p| dag.strong_path(VertexId::new(r4, *p), leader))
-            .collect();
-        quorums.contains_quorum_for_any(&committers).is_some()
-    }
-
+    /// Runs `waveReady(w)` with the asymmetric commit rule (Algorithm 6,
+    /// line 148): all round-4 vertices of some quorum of *any* process
+    /// reach the leader by strong paths.
     fn wave_ready(&mut self, w: WaveId, ctx: &mut Context<'_, AsymRiderMsg, OrderedVertex>) {
         if w <= self.committer.decided_wave() {
             return;
         }
-        self.core.metrics_mut().waves_attempted += 1;
         let quorums = &self.quorums;
         let mut out = Vec::new();
         let commits_before = self.committer.log().len();
@@ -278,32 +259,24 @@ impl AsymDagRider {
             self.core.dag(),
             &self.coin,
             w,
-            |dag, leader| Self::commit_rule(quorums, dag, leader),
+            |supporters| quorums.contains_quorum_for_any(supporters).is_some(),
             &mut out,
         );
-        match outcome {
-            CommitOutcome::NoLeaderVertex => self.core.metrics_mut().waves_skipped_no_leader += 1,
-            CommitOutcome::RuleNotMet => self.core.metrics_mut().waves_skipped_rule += 1,
-            CommitOutcome::Committed { .. } => self.core.metrics_mut().waves_committed += 1,
-        }
+        self.core.metrics_mut().count_wave(outcome);
         // Persist the decision and every delivery *before* handing the
         // outputs to the environment: on replay, a delivery the WAL lacks
         // was never observable, and one it has is never re-delivered.
-        let decided: Vec<(WaveId, VertexId)> = self.committer.log()[commits_before..].to_vec();
         if let Some(log) = self.core.log_mut() {
-            for (wave, leader) in decided {
-                log.append(&DagEvent::WaveDecided { wave, leader }).expect("WAL append failed");
+            for (wave, leader) in &self.committer.log()[commits_before..] {
+                log.append(&DagEvent::WaveDecided { wave: *wave, leader: *leader })
+                    .expect("WAL append failed");
             }
             for o in &out {
                 log.append(&DagEvent::BlockDelivered { id: o.id, wave: o.committed_in_wave })
                     .expect("WAL append failed");
             }
         }
-        for o in out {
-            self.core.metrics_mut().vertices_ordered += 1;
-            self.core.metrics_mut().txs_ordered += o.block.txs.len() as u64;
-            ctx.output(o);
-        }
+        self.core.deliver(out, ctx);
     }
 
     /// The main loop of Algorithm 4 (lines 94–120), event-driven: advance
@@ -371,20 +344,6 @@ impl AsymDagRider {
         }
     }
 
-    /// Compacts the full durable state into the canonical snapshot event
-    /// sequence (the ordering contract lives in
-    /// [`asym_storage::snapshot_events`], shared with replay-side
-    /// compaction so the two paths cannot drift).
-    fn snapshot_events(&self) -> Vec<DagEvent<Block>> {
-        asym_storage::snapshot_events(
-            self.core.dag(),
-            self.control.iter().filter(|(_, c)| c.t_ready).map(|(w, _)| *w),
-            self.committer.log(),
-            self.committer.delivered_waves(),
-            self.delivered_blocks.iter().map(|(id, b)| (*id, b.clone())),
-        )
-    }
-
     /// Installs a snapshot when the WAL's cadence asks for one. With
     /// [`RiderConfig::prune_wal`] set, the delivered prefix below the
     /// decided wave's leader round is garbage-collected first — from the
@@ -398,23 +357,28 @@ impl AsymDagRider {
         if !self.core.log().is_some_and(DagLog::should_snapshot) {
             return;
         }
-        if self.core.config().prune_wal {
-            let decided = self.committer.decided_wave();
-            if decided >= 1 {
-                // Everything delivered lives at or below the decided
-                // wave's leader round (a wave-w commit orders history of
-                // the round-`4(w-1)+1` leader). The pruned vertices' blocks
-                // move into the transferable residue, so the delivered
-                // prefix stays servable to deep laggards as certified
-                // outputs.
-                let floor = round_of_wave(decided, 1);
-                let delivered: BTreeSet<VertexId> = self.committer.delivered().collect();
-                for v in self.core.prune_delivered(&delivered, floor) {
-                    self.delivered_blocks.insert(v.id(), v.into_block());
-                }
+        let decided = self.committer.decided_wave();
+        if self.core.config().prune_wal && decided >= 1 {
+            // Everything delivered lives at or below the decided wave's
+            // leader round (a wave-w commit orders history of the
+            // round-`4(w-1)+1` leader). The pruned vertices' blocks move into
+            // the transferable residue, so the delivered prefix stays
+            // servable to deep laggards as certified outputs.
+            let floor = round_of_wave(decided, 1);
+            let delivered: BTreeSet<VertexId> = self.committer.delivered().collect();
+            for v in self.core.prune_delivered(&delivered, floor) {
+                self.delivered_blocks.insert(v.id(), v.into_block());
             }
         }
-        let events = self.snapshot_events();
+        // The canonical snapshot event order lives in
+        // `asym_storage::snapshot_events`, shared with replay-side compaction.
+        let events = asym_storage::snapshot_events(
+            self.core.dag(),
+            self.control.iter().filter(|(_, c)| c.t_ready).map(|(w, _)| *w),
+            self.committer.log(),
+            self.committer.delivered_waves(),
+            self.delivered_blocks.iter().map(|(id, b)| (*id, b.clone())),
+        );
         self.core
             .log_mut()
             .expect("checked above")
@@ -426,59 +390,25 @@ impl AsymDagRider {
     /// write-ahead log, then rejoins the run: re-announces confirmed waves
     /// (unblocking peers stalled mid-ladder), revives its own stalled
     /// broadcast instances, and fetches everything it missed from peers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the log is corrupt or unreadable: a process that cannot
-    /// trust its durable state must not rejoin (fail-stop).
-    fn restart_from_log(&mut self, ctx: &mut Context<'_, AsymRiderMsg, OrderedVertex>) {
-        let Some(mut log) = self.core.take_log() else {
+    fn rejoin(&mut self, ctx: &mut Context<'_, AsymRiderMsg, OrderedVertex>) {
+        let Some(log) = self.core.take_log() else {
             return; // no persistence layer: resume with in-memory state
         };
-        let me = self.core.me();
-        let config = self.core.config();
-        // The crash happened *now* as far as storage is concerned: a
-        // fault-injecting backend applies its modelled powerloss damage
-        // (torn append, lost unsynced suffix, reverted snapshot rename)
-        // before we read a single byte back.
-        log.powerloss().expect("storage failed while applying crash damage");
-        // Repair before the first post-recovery append: a record written
-        // after a surviving torn tail would fuse with it into one
-        // checksum-mismatching frame, leaving the log unreadable at the
-        // *next* restart (found by the powerloss-file matrix cells).
-        log.repair_torn_tail().expect("WAL torn-tail repair failed");
-        let recovered =
-            log.replay(self.quorums.n(), me, Block::default()).expect("WAL replay failed");
-
-        // Everything below derives from static configuration + the log —
-        // nothing survives from the pre-crash in-memory state.
-        self.core = DagCore::from_recovered(me, self.quorums.clone(), config, &recovered, log);
-        self.committer = WaveCommitter::from_parts(
-            recovered.decided_wave,
-            recovered
-                .delivered
-                .iter()
-                .map(|id| (*id, recovered.delivered_waves.get(id).copied().unwrap_or(0))),
-            recovered.commit_log.clone(),
-        );
+        let (me, config) = (self.core.me(), self.core.config());
+        let restart = catchup::restart_from_log(log, &self.quorums, me, config);
+        // Nothing survives from the pre-crash in-memory state.
+        self.core = restart.core;
+        self.committer = restart.committer;
+        self.delivered_blocks = restart.residue;
         self.control = HashMap::new();
         self.acked_vertices = HashSet::new();
-        self.fetch_pending = HashMap::new();
-        self.last_missing = BTreeSet::new();
-        self.fetch_progress = false;
-        self.transfer = TransferState::new();
-        self.delivered_blocks =
-            recovered.delivered_blocks.iter().map(|(k, v)| (*k, v.clone())).collect();
-        self.recovering = true;
-        for w in &recovered.confirmed_waves {
-            let ctrl = self.control.entry(*w).or_default();
-            ctrl.t_ready = true;
+        self.catchup = CatchUp::restarted();
+        for w in restart.confirmed {
             // Mark the outbound ladder done for finished waves and instead
             // re-announce once, so peers stalled mid-ladder progress and we
             // do not re-broadcast on every late control message.
-            ctrl.sent_ready = true;
-            ctrl.sent_confirm = true;
-            ctx.broadcast(AsymRiderMsg::Confirm { wave: *w });
+            self.control.entry(w).or_default().finish();
+            ctx.broadcast(AsymRiderMsg::Confirm { wave: w });
         }
         for m in self.core.rebroadcast_own() {
             ctx.broadcast(AsymRiderMsg::Arb(m));
@@ -486,222 +416,36 @@ impl AsymDagRider {
         // Full state sync from the pruning floor: most of the reply
         // duplicates the replayed DAG and is discarded on arrival, but any
         // tighter floor can miss old vertices we never held (they surface
-        // later as weak edges), forcing refetch round-trips; at simulation
-        // sizes the simple, always-correct request wins. Rounds at or
-        // below the floor are almost entirely garbage-collected delivered
-        // prefix, so they are excluded here; in the rare case an
-        // *undelivered* sub-floor vertex is still missing, a buffered
-        // child will name it in `missing_parents` and `maybe_refetch`
-        // requests it with a matching floor. Replies are cross-validated
-        // against a kernel before anything enters the DAG.
+        // later as weak edges). An *undelivered* sub-floor vertex that is
+        // still missing surfaces in `missing_parents` and is refetched.
         ctx.broadcast(AsymRiderMsg::Fetch { above_round: self.core.dag().pruned_floor() });
         self.advance(ctx);
     }
 
-    /// Builds the reply to a peer's catch-up request.
-    fn fetch_reply(&self, above_round: Round) -> AsymRiderMsg {
-        let dag = self.core.dag();
-        let mut vertices = Vec::new();
-        for r in (above_round + 1)..=dag.max_round().unwrap_or(0) {
-            vertices.extend(dag.vertices_in_round(r).cloned());
-        }
-        let mut confirmed: Vec<WaveId> =
-            self.control.iter().filter(|(_, c)| c.sent_confirm).map(|(w, _)| *w).collect();
-        confirmed.sort_unstable();
-        AsymRiderMsg::FetchReply { vertices, confirmed }
-    }
-
-    /// Folds one peer's catch-up reply in: every vertex is validated with
-    /// the line-140 rule and accepted only once bit-identical copies have
-    /// arrived from one of my kernels — a kernel intersects all my quorums,
-    /// so at least one vouching process is one my trust assumption counts
-    /// on, and a lone equivocator cannot smuggle a forged vertex past
-    /// reliable broadcast through the fetch path. Votes are tracked per
-    /// *copy* (not just per id), so a forged first reply cannot veto the
-    /// genuine copy either; one vote per responder per id bounds the state.
-    fn handle_fetch_reply(
+    /// Installs kernel-corroborated wave segments in chain order: each
+    /// extends the commit log, its fresh deliveries are persisted and
+    /// output, the vertices never received are recorded as pruned, and the
+    /// round counter fast-forwards past the installed floor. Then `Fetch`
+    /// catch-up resumes just below the new floor.
+    fn install(
         &mut self,
-        from: ProcessId,
-        vertices: Vec<Vertex<Block>>,
-        confirmed: Vec<WaveId>,
-        ctx: &mut Context<'_, AsymRiderMsg, OrderedVertex>,
-    ) {
-        let me = self.core.me();
-        for v in vertices {
-            let id = v.id();
-            // Round-0, own, stale (this exact id was delivered and
-            // garbage-collected), already-known and quorum-less (line 140)
-            // vertices are all discarded unseen. Undelivered old vertices
-            // below the pruning floor are *kept*: a later leader can still
-            // order them.
-            if v.round() == 0
-                || self.core.dag().is_pruned(id)
-                || v.source() == me
-                || self.core.dag().contains(id)
-                || self.core.has_buffered(id)
-                || self.quorums.contains_quorum_for_any(v.strong_edges()).is_none()
-            {
-                continue;
-            }
-            let copies = self.fetch_pending.entry(id).or_default();
-            if copies.iter().any(|(_, voters)| voters.contains(from)) {
-                continue; // one vote per responder per id (first copy wins)
-            }
-            let slot = match copies.iter().position(|(copy, _)| *copy == v) {
-                Some(i) => i,
-                None => {
-                    copies.push((v, ProcessSet::new()));
-                    copies.len() - 1
-                }
-            };
-            copies[slot].1.insert(from);
-            // New evidence arrived: worth one more refetch round if the
-            // buffer is still blocked (see `maybe_refetch`).
-            self.fetch_progress = true;
-            if self.quorums.hits_kernel_for(me, &copies[slot].1) {
-                let (v, _) = copies.swap_remove(slot);
-                self.fetch_pending.remove(&id);
-                self.core.accept_fetched(v);
-            }
-        }
-        for wave in confirmed {
-            self.control.entry(wave).or_default().confirms.insert(from);
-            self.control_step(wave, ctx);
-        }
-    }
-
-    /// Builds the per-wave certified segments of this process's delivered
-    /// prefix above `above_wave` — the donor half of delivered-state
-    /// transfer. Each wave's deliveries are reconstructed in the
-    /// deterministic delivery order (sorted ids of the wave's tag group —
-    /// see [`WaveCommitter::delivered_in_wave`]); blocks come from the DAG
-    /// when the vertex is still stored, and from the transferable residue
-    /// when it was garbage-collected. A wave with an unservable block
-    /// (impossible for a correct process, defensive) **ends** the chunk:
-    /// the receiver installs along the `prev_wave` chain, so segments past
-    /// a hole could never install from this donor anyway.
-    fn state_chunk(&self, above_wave: WaveId) -> Option<AsymRiderMsg> {
-        // One pass over the delivered map groups ids by ordering wave —
-        // StateRequests are repeatable and unauthenticated, so the donor
-        // must not rescan the whole delivered set once per log entry.
-        let mut by_wave: BTreeMap<WaveId, Vec<VertexId>> = BTreeMap::new();
-        for (id, wave) in self.committer.delivered_waves() {
-            if wave > above_wave {
-                by_wave.entry(wave).or_default().push(id);
-            }
-        }
-        let mut segments = Vec::new();
-        // Commit logs legitimately skip waves, so each segment names the
-        // log entry it chains onto (`prev_wave`) — the receiver installs
-        // along this chain, never by wave arithmetic.
-        let mut prev = 0;
-        for (wave, leader) in self.committer.log() {
-            if *wave <= above_wave {
-                prev = *wave;
-                continue;
-            }
-            let mut ids = by_wave.remove(wave).unwrap_or_default();
-            ids.sort_unstable();
-            let mut deliveries = Vec::with_capacity(ids.len());
-            let mut servable = true;
-            for id in ids {
-                let block = self
-                    .core
-                    .dag()
-                    .get(id)
-                    .map(|v| v.block().clone())
-                    .or_else(|| self.delivered_blocks.get(&id).cloned());
-                let Some(block) = block else {
-                    servable = false;
-                    break;
-                };
-                deliveries.push((id, block));
-            }
-            if !servable || deliveries.is_empty() {
-                // The receiver installs along the prev_wave chain, so
-                // nothing after a hole could ever install from this donor —
-                // stop the chunk here rather than ship dead segments.
-                break;
-            }
-            segments.push(WaveSegment {
-                wave: *wave,
-                prev_wave: prev,
-                leader: *leader,
-                deliveries,
-            });
-            prev = *wave;
-        }
-        (!segments.is_empty()).then_some(AsymRiderMsg::StateChunk { segments })
-    }
-
-    /// Shape-and-coin validation of one received segment, before it may
-    /// accumulate votes: the wave must still be installable, the leader
-    /// must be the coin-elected leader vertex of that wave (a forged
-    /// commit-log entry dies here without costing a vote slot), and the
-    /// delivery list must be non-empty, strictly `(round, source)`-sorted,
-    /// genesis-free and bounded by the leader round — the shape every
-    /// honest segment has by construction.
-    fn segment_valid(&self, seg: &WaveSegment) -> bool {
-        if seg.wave <= self.committer.decided_wave() {
-            return false;
-        }
-        let expected = VertexId::new(round_of_wave(seg.wave, 1), self.coin.leader(seg.wave));
-        seg.leader == expected
-            && seg.prev_wave < seg.wave
-            && !seg.deliveries.is_empty()
-            && seg.deliveries.windows(2).all(|w| w[0].0 < w[1].0)
-            && seg.deliveries.iter().all(|(id, _)| id.round >= 1 && id.round <= seg.leader.round)
-    }
-
-    /// Folds one donor's chunk in (vote per wave per responder) and
-    /// installs every contiguously corroborated wave: starting at the
-    /// decided-wave watermark, a segment whose copy has votes from one of
-    /// my kernels is appended to the commit log, its fresh deliveries are
-    /// persisted and output, the missing vertices are recorded as pruned
-    /// (their content can never be needed again) and the round counter
-    /// fast-forwards past the installed floor. Afterwards the process
-    /// resumes normal `Fetch` catch-up just below the new floor.
-    fn handle_state_chunk(
-        &mut self,
-        from: ProcessId,
         segments: Vec<WaveSegment>,
         ctx: &mut Context<'_, AsymRiderMsg, OrderedVertex>,
     ) {
-        // Unsolicited chunks are dropped before they can pin any state:
-        // only donors this process actually sent a StateRequest to may
-        // accumulate votes (a forger spraying chunks at everyone gets
-        // nothing stored).
-        if !self.recovering || !self.transfer.has_requested(from) {
+        if segments.is_empty() {
             return;
         }
         for seg in segments {
-            self.transfer.note_received();
-            if !self.segment_valid(&seg) {
-                self.transfer.note_rejected();
-                continue;
-            }
-            self.transfer.vote(from, seg);
-        }
-        let me = self.core.me();
-        let mut installed_any = false;
-        loop {
-            let decided = self.committer.decided_wave();
-            let Some(seg) = self.transfer.take_ready(decided, &self.quorums, me) else {
-                break;
-            };
             let fresh = self.committer.install_wave(seg.wave, seg.leader, &seg.deliveries);
             let absent: Vec<bool> =
                 fresh.iter().map(|(id, _)| !self.core.dag().contains(*id)).collect();
-            // Persist the decision, every delivery and the block residue of
-            // never-received vertices *before* handing outputs to the
-            // environment — the same WAL-first discipline as a live commit.
+            // Persist the decision, its tReady milestone (set below; a
+            // replay cannot re-derive it locally), every delivery and the
+            // block residue of never-received vertices *before* handing
+            // outputs to the environment, as a live commit does.
             if let Some(log) = self.core.log_mut() {
                 log.append(&DagEvent::WaveDecided { wave: seg.wave, leader: seg.leader })
                     .expect("WAL append failed");
-                // The install also earns the wave's tReady milestone (set
-                // below) — persist it like every other t_ready transition,
-                // or a crash before the next snapshot would silently drop
-                // the confirmation a replay cannot re-derive locally.
                 log.append(&DagEvent::WaveConfirmed { wave: seg.wave }).expect("WAL append failed");
                 for ((id, block), miss) in fresh.iter().zip(&absent) {
                     log.append(&DagEvent::BlockDelivered { id: *id, wave: seg.wave })
@@ -718,56 +462,23 @@ impl AsymDagRider {
                     self.delivered_blocks.insert(*id, block.clone());
                 }
             }
-            // Kernel corroboration of the decided wave doubles as its
-            // confirmation evidence (the CONFIRM-from-kernel amplification
-            // rule): mark the ladder finished so round advancement through
-            // the installed wave is not gated on long-gone CONFIRMs.
-            let ctrl = self.control.entry(seg.wave).or_default();
-            ctrl.t_ready = true;
-            ctrl.sent_ready = true;
-            ctrl.sent_confirm = true;
-            self.transfer.note_installed(fresh.len());
-            for (id, block) in fresh {
-                self.core.metrics_mut().vertices_ordered += 1;
-                self.core.metrics_mut().txs_ordered += block.txs.len() as u64;
-                ctx.output(OrderedVertex { id, block, committed_in_wave: seg.wave });
-            }
+            // Kernel corroboration doubles as the wave's confirmation
+            // evidence (the CONFIRM-from-kernel rule), so round advancement
+            // through it is not gated on long-gone CONFIRMs.
+            self.control.entry(seg.wave).or_default().finish();
+            self.catchup.note_installed(fresh.len());
+            let out = fresh.into_iter().map(|(id, block)| OrderedVertex {
+                id,
+                block,
+                committed_in_wave: seg.wave,
+            });
+            self.core.deliver(out, ctx);
             self.core.fast_forward_round(round_of_wave(seg.wave, 1));
-            installed_any = true;
         }
-        if installed_any {
-            self.transfer.discard_through(self.committer.decided_wave());
-            // Resume vertex catch-up one round *below* the new floor: the
-            // floor round itself still holds undelivered vertices (only a
-            // wave's leader is delivered by its own commit; its round
-            // siblings are ordered by the next wave) which the round quorum
-            // may need.
-            let floor = self.core.dag().pruned_floor();
-            ctx.broadcast(AsymRiderMsg::Fetch { above_round: floor.saturating_sub(1) });
-        }
-    }
-
-    /// If recovery left the insertion buffer blocked on parents nobody has
-    /// sent us (a vertex can finish dissemination entirely inside our down
-    /// window), ask again. A refetch fires when the missing-parent set
-    /// *changes*, or when the last reply round still added vouching votes —
-    /// a fetch can race peers that have arb-delivered but not yet inserted
-    /// a vertex, so "same missing set but votes grew" must retry until the
-    /// kernel threshold is met. Votes per vertex are bounded by `n` and
-    /// vertices by the run, so refetch traffic stays finite and the
-    /// network still quiesces.
-    fn maybe_refetch(&mut self, ctx: &mut Context<'_, AsymRiderMsg, OrderedVertex>) {
-        if !self.recovering {
-            return;
-        }
-        let missing = self.core.missing_parents();
-        let progress = std::mem::take(&mut self.fetch_progress);
-        if missing.is_empty() || (missing == self.last_missing && !progress) {
-            return;
-        }
-        let floor = missing.iter().next().expect("non-empty").round.saturating_sub(1);
-        self.last_missing = missing;
-        ctx.broadcast(AsymRiderMsg::Fetch { above_round: floor });
+        // One round *below* the floor: only a wave's leader is delivered by
+        // its own commit, so its round siblings may still be needed.
+        let floor = self.core.dag().pruned_floor();
+        ctx.broadcast(AsymRiderMsg::Fetch { above_round: floor.saturating_sub(1) });
     }
 }
 
@@ -788,7 +499,7 @@ impl Protocol for AsymDagRider {
     }
 
     fn on_recover(&mut self, ctx: &mut Context<'_, Self::Msg, Self::Output>) {
-        self.restart_from_log(ctx);
+        self.rejoin(ctx);
     }
 
     fn on_message(
@@ -830,49 +541,47 @@ impl Protocol for AsymDagRider {
                 self.control_step(wave, ctx);
             }
             AsymRiderMsg::Fetch { above_round } => {
-                let reply = self.fetch_reply(above_round);
-                ctx.send(from, reply);
-                // The requester asked for rounds this process has garbage-
-                // collected: the FetchReply above cannot contain them, so
-                // offer the delivered prefix as certified outputs instead.
-                let floor = self.core.dag().pruned_floor();
-                if above_round < floor && self.committer.decided_wave() > 0 {
-                    ctx.send(
-                        from,
-                        AsymRiderMsg::StateOffer {
-                            decided_wave: self.committer.decided_wave(),
-                            floor,
-                        },
-                    );
+                let confirmed =
+                    self.control.iter().filter(|(_, c)| c.sent_confirm).map(|(w, _)| *w);
+                let decided = self.committer.decided_wave();
+                for m in catchup::answer_fetch(above_round, self.core.dag(), confirmed, decided) {
+                    ctx.send(from, m);
                 }
             }
             AsymRiderMsg::FetchReply { vertices, confirmed } => {
-                self.handle_fetch_reply(from, vertices, confirmed, ctx);
+                for v in self.catchup.on_fetch_reply(from, vertices, &self.core, &self.quorums) {
+                    self.core.accept_fetched(v);
+                }
+                for wave in confirmed {
+                    self.control.entry(wave).or_default().confirms.insert(from);
+                    self.control_step(wave, ctx);
+                }
             }
             AsymRiderMsg::StateOffer { decided_wave, .. } => {
-                // Only a recovering process installs transferred state, and
-                // only offers extending its watermark are worth a request
-                // (one per offerer; the chunk carries everything above it).
-                if self.recovering
-                    && self.transfer.note_offer(from, decided_wave, self.committer.decided_wave())
-                {
-                    ctx.send(
-                        from,
-                        AsymRiderMsg::StateRequest { above_wave: self.committer.decided_wave() },
-                    );
+                let decided = self.committer.decided_wave();
+                if self.catchup.wants_state(from, decided_wave, decided) {
+                    ctx.send(from, AsymRiderMsg::StateRequest { above_wave: decided });
                 }
             }
             AsymRiderMsg::StateRequest { above_wave } => {
-                if let Some(chunk) = self.state_chunk(above_wave) {
+                let residue = &self.delivered_blocks;
+                let chunk =
+                    catchup::state_chunk(&self.committer, self.core.dag(), residue, above_wave);
+                if let Some(chunk) = chunk {
                     ctx.send(from, chunk);
                 }
             }
             AsymRiderMsg::StateChunk { segments } => {
-                self.handle_state_chunk(from, segments, ctx);
+                let decided = self.committer.decided_wave();
+                let (coin, quorums, me) = (&self.coin, &self.quorums, self.core.me());
+                let ready = self.catchup.on_state_chunk(from, segments, decided, coin, quorums, me);
+                self.install(ready, ctx);
             }
         }
         self.advance(ctx);
-        self.maybe_refetch(ctx);
+        if let Some(floor) = self.catchup.refetch_floor(|| self.core.missing_parents()) {
+            ctx.broadcast(AsymRiderMsg::Fetch { above_round: floor });
+        }
         self.maybe_snapshot();
     }
 }
@@ -1075,7 +784,7 @@ mod tests {
 
         let mut procs = cluster(t, 6);
         if prune {
-            let config = RiderConfig { max_waves: 6, prune_wal: true, ..RiderConfig::default() };
+            let config = RiderConfig { max_waves: 6, prune_wal: true };
             procs[restarted] = AsymDagRider::new(pid(restarted), t.quorums.clone(), 42, config);
         }
         procs[restarted] = procs[restarted].clone().with_storage(
@@ -1185,7 +894,7 @@ mod tests {
         // the delivered prefix, and its WAL must record a pruning floor.
         use asym_storage::StorageBackend;
         let t = topology::uniform_threshold(4, 1);
-        let config = RiderConfig { max_waves: 6, prune_wal: true, ..RiderConfig::default() };
+        let config = RiderConfig { max_waves: 6, prune_wal: true };
         let mut procs = cluster(&t, 6);
         procs[1] = AsymDagRider::new(pid(1), t.quorums.clone(), 42, config)
             .with_storage(crate::DagLog::new(StorageBackend::in_memory()).with_snapshot_every(24));

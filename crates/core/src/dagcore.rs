@@ -8,9 +8,10 @@ use std::collections::{BTreeSet, HashSet, VecDeque};
 use asym_broadcast::{BcastMsg, BroadcastHub};
 use asym_dag::{DagStore, Round, Vertex, VertexId};
 use asym_quorum::{AsymQuorumSystem, ProcessId, ProcessSet};
+use asym_sim::Context;
 use asym_storage::{DagEvent, EventLog, RecoveredState, StorageBackend};
 
-use crate::types::{Block, RiderConfig, RiderMetrics};
+use crate::types::{Block, OrderedVertex, RiderConfig, RiderMetrics};
 
 /// The write-ahead log type the consensus processes persist to: typed DAG
 /// events over either storage backend.
@@ -23,7 +24,6 @@ pub type DagLog = EventLog<Block, StorageBackend>;
 #[derive(Clone, Debug)]
 pub struct DagCore {
     me: ProcessId,
-    n: usize,
     hub: BroadcastHub<Vertex<Block>>,
     dag: DagStore<Block>,
     buffer: Vec<Vertex<Block>>,
@@ -41,7 +41,6 @@ impl DagCore {
         let n = quorums.n();
         DagCore {
             me,
-            n,
             hub: BroadcastHub::new(me, quorums),
             dag: DagStore::with_genesis(n, Block::default()),
             buffer: Vec::new(),
@@ -53,15 +52,8 @@ impl DagCore {
         }
     }
 
-    /// Attaches a write-ahead log (builder-style): from now on every vertex
-    /// that enters the DAG is durably recorded in the same step.
-    #[must_use]
-    pub fn with_log(mut self, log: DagLog) -> Self {
-        self.set_log(log);
-        self
-    }
-
-    /// Attaches a write-ahead log in place (see [`DagCore::with_log`]).
+    /// Attaches a write-ahead log: from now on every vertex that enters the
+    /// DAG is durably recorded in the same step.
     pub fn set_log(&mut self, log: DagLog) {
         self.log = Some(log);
     }
@@ -77,19 +69,8 @@ impl DagCore {
         recovered: &RecoveredState<Block>,
         log: DagLog,
     ) -> Self {
-        let n = quorums.n();
-        DagCore {
-            me,
-            n,
-            hub: BroadcastHub::new(me, quorums),
-            dag: recovered.dag.clone(),
-            buffer: Vec::new(),
-            round: recovered.own_round,
-            blocks: VecDeque::new(),
-            config,
-            metrics: RiderMetrics::default(),
-            log: Some(log),
-        }
+        let (dag, round) = (recovered.dag.clone(), recovered.own_round);
+        DagCore { dag, round, log: Some(log), ..DagCore::new(me, quorums, config) }
     }
 
     /// The attached write-ahead log, if any.
@@ -114,11 +95,6 @@ impl DagCore {
         self.me
     }
 
-    /// System size.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// The local DAG (read-only).
     pub fn dag(&self) -> &DagStore<Block> {
         &self.dag
@@ -139,11 +115,6 @@ impl DagCore {
     /// Mutable access to the counters (for the protocol variants).
     pub fn metrics_mut(&mut self) -> &mut RiderMetrics {
         &mut self.metrics
-    }
-
-    /// Number of buffered (not yet insertable) vertices.
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
     }
 
     /// The configured limits.
@@ -281,31 +252,33 @@ impl DagCore {
         out
     }
 
-    /// Accepts a vertex obtained through the recovery fetch protocol
-    /// (bypassing reliable broadcast — the caller has already established
-    /// that enough processes vouch for it). Buffered like an arb delivery;
-    /// insertion still waits for the round bound and the causal history.
-    /// Vertices whose exact identity was pruned are *stale* — they belong
-    /// to a garbage-collected delivered prefix whose content can never be
-    /// needed again — and are dropped: re-buffering one would wedge on its
-    /// equally-pruned parents and re-grow the log. (An *undelivered* old
-    /// vertex this process never received is NOT stale, even below the
-    /// pruning floor: a later leader may still order it, so it must be
-    /// accepted.)
+    /// `true` if this identity is stored, buffered or pruned — a fetched
+    /// copy of it carries nothing new. A pruned identity was delivered and
+    /// garbage-collected: re-buffering it would wedge on its equally pruned
+    /// parents and re-grow the log.
+    pub fn knows(&self, id: VertexId) -> bool {
+        self.dag.contains(id) || self.dag.is_pruned(id) || self.buffer.iter().any(|b| b.id() == id)
+    }
+
+    /// Buffers a fetched vertex that a kernel vouched for and that is not
+    /// [known](DagCore::knows); like an arb delivery, it is inserted once
+    /// the round bound and its causal history allow.
     pub fn accept_fetched(&mut self, v: Vertex<Block>) {
-        if v.round() == 0 || self.dag.is_pruned(v.id()) || self.dag.contains(v.id()) {
-            return;
-        }
-        if self.buffer.iter().any(|b| b.id() == v.id()) {
-            return;
-        }
         self.buffer.push(v);
     }
 
-    /// `true` if a vertex with this identity is waiting in the insertion
-    /// buffer.
-    pub fn has_buffered(&self, id: VertexId) -> bool {
-        self.buffer.iter().any(|b| b.id() == id)
+    /// Hands atomically delivered vertices to the environment, counting
+    /// each in the metrics.
+    pub fn deliver<M>(
+        &mut self,
+        out: impl IntoIterator<Item = OrderedVertex>,
+        ctx: &mut Context<'_, M, OrderedVertex>,
+    ) {
+        for o in out {
+            self.metrics.vertices_ordered += 1;
+            self.metrics.txs_ordered += o.block.txs.len() as u64;
+            ctx.output(o);
+        }
     }
 
     /// Parents referenced by buffered vertices that are neither stored nor
@@ -329,11 +302,9 @@ impl DagCore {
     /// Garbage-collects the delivered prefix from the live DAG: every
     /// vertex in `delivered` with round `<= up_to_round` is removed and the
     /// pruning floor ratchets up (see [`asym_storage::prune_dag`]). Called
-    /// by the rider at snapshot time so the live DAG, the snapshot and a
-    /// future replay all agree on what was forgotten. Returns the pruned
-    /// vertices so the rider can harvest their blocks into its transferable
-    /// delivered-state store (deep laggards are served outputs, not
-    /// vertices).
+    /// at snapshot time so the live DAG, the snapshot and a future replay
+    /// agree on what was forgotten. Returns the pruned vertices, whose
+    /// blocks the rider keeps to serve deep laggards.
     #[must_use]
     pub fn prune_delivered(
         &mut self,
@@ -365,40 +336,17 @@ impl DagCore {
         if round < 3 {
             return Vec::new();
         }
-        // Everything reachable from the strong parents.
-        let mut reach: HashSet<VertexId> = HashSet::new();
-        let mut queue: VecDeque<VertexId> =
-            strong.iter().map(|s| VertexId::new(round - 1, s)).collect();
-        reach.extend(queue.iter().copied());
-        while let Some(cur) = queue.pop_front() {
-            if let Some(v) = self.dag.get(cur) {
-                for p in v.parents() {
-                    if reach.insert(p) {
-                        queue.push_back(p);
-                    }
-                }
-            }
+        // Everything reachable from the strong parents; each vertex still
+        // outside that history becomes a weak edge and extends it.
+        let mut reach = HashSet::new();
+        for s in strong {
+            self.dag.extend_history(&mut reach, VertexId::new(round - 1, s));
         }
         let mut weak = Vec::new();
         for r in (1..round - 1).rev() {
             for v in self.dag.vertices_in_round(r) {
-                let id = v.id();
-                if reach.contains(&id) {
-                    continue;
-                }
-                weak.push(id);
-                // The new weak edge makes id's causal history reachable too.
-                let mut queue: VecDeque<VertexId> = VecDeque::new();
-                queue.push_back(id);
-                reach.insert(id);
-                while let Some(cur) = queue.pop_front() {
-                    if let Some(v) = self.dag.get(cur) {
-                        for p in v.parents() {
-                            if reach.insert(p) {
-                                queue.push_back(p);
-                            }
-                        }
-                    }
+                if self.dag.extend_history(&mut reach, v.id()) {
+                    weak.push(v.id());
                 }
             }
         }
@@ -482,7 +430,7 @@ mod tests {
         assert_eq!(fresh.len(), 1, "vertex delivered by arb");
         // a is still at round 0: round-1 vertex is insertable only after a
         // advances... per Algorithm 4 the bound is `v.round ≤ r`; round 1 > 0.
-        assert_eq!(a.buffered(), 1);
+        assert_eq!(a.buffer.len(), 1);
         assert!(!a.dag().contains(VertexId::new(1, pid(1))));
         a.advance_and_broadcast(1);
         assert!(a.drain_buffer() || a.dag().contains(VertexId::new(1, pid(1))));

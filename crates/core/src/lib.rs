@@ -14,18 +14,16 @@
 //!   (leader-stack ordering), [`Block`] / [`OrderedVertex`] /
 //!   [`RiderConfig`] / [`RiderMetrics`];
 //! * crash recovery: [`AsymDagRider::with_storage`] attaches a [`DagLog`]
-//!   (an `asym-storage` write-ahead log of inserts, confirms, decisions and
-//!   deliveries); after a
+//!   (an `asym-storage` write-ahead log). After a
 //!   [`FaultMode::RestartAfter`](asym_sim::FaultMode::RestartAfter) window
-//!   the process replays the log, re-announces its confirmed waves, revives
-//!   its stalled broadcasts and fetches missed rounds from peers — without
-//!   ever delivering a block twice;
-//! * deep catch-up: when every peer has pruned below a laggard's floor,
-//!   the [`transfer`] module ships the delivered prefix as certified
-//!   outputs (`StateOffer`/`StateRequest`/`StateChunk`), kernel-matched
-//!   against the receiver's own quorum system. The full persistence and
-//!   recovery lifecycle is documented in `docs/ARCHITECTURE.md` at the
-//!   repository root.
+//!   the process replays it and catches up without ever delivering a block
+//!   twice: it fetches missed vertices from peers or, below every peer's
+//!   pruning floor, installs the delivered prefix as certified outputs
+//!   ([`transfer`]). Both paths accept evidence only when a kernel of the
+//!   receiver's own quorum system vouches for it, through one crate-private
+//!   `KernelVotes` tally; the catch-up logic lives apart from Algorithms
+//!   4–6 in the private `catchup` module. `docs/ARCHITECTURE.md` at the
+//!   repository root documents the full lifecycle.
 //!
 //! Both protocols implement [`asym_sim::Protocol`]: inputs are blocks
 //! (`aa-broadcast`), outputs are [`OrderedVertex`] events (`aa-deliver`) in
@@ -51,7 +49,9 @@
 #![warn(missing_docs)]
 
 mod asym_rider;
+mod catchup;
 mod dagcore;
+mod kernel_votes;
 mod ordering;
 mod rider;
 pub mod transfer;

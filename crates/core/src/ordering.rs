@@ -10,6 +10,7 @@ use std::collections::HashMap;
 
 use asym_crypto::CommonCoin;
 use asym_dag::{round_of_wave, DagStore, VertexId, WaveId};
+use asym_quorum::ProcessSet;
 
 use crate::types::{Block, OrderedVertex};
 
@@ -148,24 +149,30 @@ impl WaveCommitter {
     }
 
     /// Runs `waveReady(w)`: elects the leader by the common coin, applies
-    /// `commit_rule`, and on success walks the leader stack back to the last
-    /// decided wave and delivers causal histories in deterministic order.
-    ///
-    /// `commit_rule(dag, leader)` decides whether the leader vertex may be
-    /// committed — the only point where the two protocol variants differ.
+    /// the commit rule, and on success walks the leader stack back to the
+    /// last decided wave and delivers causal histories in deterministic
+    /// order. The commit rule asks `is_quorum` whether the round-4 sources
+    /// with a strong path to the leader suffice — the only point where the
+    /// two protocol variants differ.
     pub fn wave_ready(
         &mut self,
         dag: &DagStore<Block>,
         coin: &CommonCoin,
         w: WaveId,
-        commit_rule: impl Fn(&DagStore<Block>, VertexId) -> bool,
+        is_quorum: impl Fn(&ProcessSet) -> bool,
         out: &mut Vec<OrderedVertex>,
     ) -> CommitOutcome {
         debug_assert!(w > self.decided_wave, "waveReady({w}) after deciding {}", self.decided_wave);
         let Some(leader) = self.wave_leader(dag, coin, w) else {
             return CommitOutcome::NoLeaderVertex;
         };
-        if !commit_rule(dag, leader) {
+        let r4 = round_of_wave(w, 4);
+        let supporters: ProcessSet = dag
+            .sources_in_round(r4)
+            .iter()
+            .filter(|p| dag.strong_path(VertexId::new(r4, *p), leader))
+            .collect();
+        if !is_quorum(&supporters) {
             return CommitOutcome::RuleNotMet;
         }
 
@@ -222,7 +229,7 @@ impl WaveCommitter {
 mod tests {
     use super::*;
     use asym_dag::Vertex;
-    use asym_quorum::{ProcessId, ProcessSet};
+    use asym_quorum::ProcessId;
     use std::collections::HashSet;
 
     fn pid(i: usize) -> ProcessId {
@@ -254,7 +261,7 @@ mod tests {
         let coin = CommonCoin::new(1, n);
         let mut wc = WaveCommitter::new();
         let mut out = Vec::new();
-        let outcome = wc.wave_ready(&dag, &coin, 1, |_, _| true, &mut out);
+        let outcome = wc.wave_ready(&dag, &coin, 1, |_| true, &mut out);
         match outcome {
             CommitOutcome::Committed { ordered } => {
                 // Leader is a round-1 vertex: its causal history is itself +
@@ -277,15 +284,12 @@ mod tests {
         let coin = CommonCoin::new(1, n);
         let mut wc = WaveCommitter::new();
         let mut out = Vec::new();
-        assert_eq!(
-            wc.wave_ready(&dag, &coin, 1, |_, _| false, &mut out),
-            CommitOutcome::RuleNotMet
-        );
+        assert_eq!(wc.wave_ready(&dag, &coin, 1, |_| false, &mut out), CommitOutcome::RuleNotMet);
         assert!(out.is_empty());
         assert_eq!(wc.decided_wave(), 0);
         // Wave 2 leader lives in round 5 — absent from a 4-round DAG.
         assert_eq!(
-            wc.wave_ready(&dag, &coin, 2, |_, _| true, &mut out),
+            wc.wave_ready(&dag, &coin, 2, |_| true, &mut out),
             CommitOutcome::NoLeaderVertex
         );
     }
@@ -299,11 +303,8 @@ mod tests {
         let mut out = Vec::new();
         // Skip wave 1 (pretend its rule failed), then commit wave 2: the
         // walk-back must pick up wave 1's leader (full DAG ⇒ strong path).
-        assert_eq!(
-            wc.wave_ready(&dag, &coin, 1, |_, _| false, &mut out),
-            CommitOutcome::RuleNotMet
-        );
-        let outcome = wc.wave_ready(&dag, &coin, 2, |_, _| true, &mut out);
+        assert_eq!(wc.wave_ready(&dag, &coin, 1, |_| false, &mut out), CommitOutcome::RuleNotMet);
+        let outcome = wc.wave_ready(&dag, &coin, 2, |_| true, &mut out);
         assert!(matches!(outcome, CommitOutcome::Committed { .. }));
         assert_eq!(wc.log().len(), 2, "wave 1 committed via walk-back");
         assert_eq!(wc.log()[0].0, 1);
@@ -322,8 +323,8 @@ mod tests {
         let coin = CommonCoin::new(3, n);
         let mut wc = WaveCommitter::new();
         let mut out = Vec::new();
-        wc.wave_ready(&dag, &coin, 1, |_, _| true, &mut out);
-        wc.wave_ready(&dag, &coin, 2, |_, _| true, &mut out);
+        wc.wave_ready(&dag, &coin, 1, |_| true, &mut out);
+        wc.wave_ready(&dag, &coin, 2, |_| true, &mut out);
         let mut seen = HashSet::new();
         for o in &out {
             assert!(seen.insert(o.id), "vertex {} delivered twice", o.id);
@@ -341,8 +342,8 @@ mod tests {
         let coin = CommonCoin::new(3, n);
         let mut wc = WaveCommitter::new();
         let mut out = Vec::new();
-        wc.wave_ready(&dag, &coin, 1, |_, _| true, &mut out);
-        wc.wave_ready(&dag, &coin, 2, |_, _| true, &mut out);
+        wc.wave_ready(&dag, &coin, 1, |_| true, &mut out);
+        wc.wave_ready(&dag, &coin, 2, |_| true, &mut out);
         for w in [1, 2] {
             let expected: Vec<VertexId> =
                 out.iter().filter(|o| o.committed_in_wave == w).map(|o| o.id).collect();
@@ -390,13 +391,13 @@ mod tests {
 
         let mut a = WaveCommitter::new();
         let mut out_a = Vec::new();
-        a.wave_ready(&dag, &coin, 1, |_, _| true, &mut out_a);
-        a.wave_ready(&dag, &coin, 2, |_, _| true, &mut out_a);
+        a.wave_ready(&dag, &coin, 1, |_| true, &mut out_a);
+        a.wave_ready(&dag, &coin, 2, |_| true, &mut out_a);
 
         let mut b = WaveCommitter::new();
         let mut out_b = Vec::new();
-        b.wave_ready(&dag, &coin, 1, |_, _| false, &mut out_b); // skipped
-        b.wave_ready(&dag, &coin, 2, |_, _| true, &mut out_b);
+        b.wave_ready(&dag, &coin, 1, |_| false, &mut out_b); // skipped
+        b.wave_ready(&dag, &coin, 2, |_| true, &mut out_b);
 
         let ids_a: Vec<VertexId> = out_a.iter().map(|o| o.id).collect();
         let ids_b: Vec<VertexId> = out_b.iter().map(|o| o.id).collect();

@@ -13,13 +13,13 @@
 //! ignored.
 
 use asym_crypto::CommonCoin;
-use asym_dag::{round_of_wave, wave_of_round, DagStore, VertexId, WaveId};
+use asym_dag::{DagStore, VertexId, WaveId};
 use asym_quorum::{AsymQuorumSystem, ProcessId, QuorumSystem};
 use asym_sim::{Context, Protocol};
 
 use crate::asym_rider::AsymRiderMsg;
 use crate::dagcore::DagCore;
-use crate::ordering::{CommitOutcome, WaveCommitter};
+use crate::ordering::WaveCommitter;
 use crate::types::{Block, OrderedVertex, RiderConfig, RiderMetrics};
 
 /// One process of symmetric DAG-Rider.
@@ -31,8 +31,8 @@ pub struct DagRider {
     core: DagCore,
     committer: WaveCommitter,
     coin: CommonCoin,
-    n: usize,
-    f: usize,
+    /// `n − f`: the round-advance and commit threshold.
+    quota: usize,
 }
 
 impl DagRider {
@@ -49,8 +49,7 @@ impl DagRider {
             core: DagCore::new(me, quorums, config),
             committer: WaveCommitter::new(),
             coin: CommonCoin::new(coin_seed, n),
-            n,
-            f,
+            quota: n - f,
         }
     }
 
@@ -80,47 +79,23 @@ impl DagRider {
         &self.committer
     }
 
-    fn quota(&self) -> usize {
-        self.n - self.f
-    }
-
-    /// The DAG-Rider commit rule: `n − f` round-4 vertices with strong paths
-    /// to the leader.
-    fn commit_rule(dag: &DagStore<Block>, leader: VertexId, quota: usize) -> bool {
-        let w = wave_of_round(leader.round);
-        let r4 = round_of_wave(w, 4);
-        let committers = dag
-            .sources_in_round(r4)
-            .iter()
-            .filter(|p| dag.strong_path(VertexId::new(r4, *p), leader))
-            .count();
-        committers >= quota
-    }
-
+    /// Runs `waveReady(w)` with the DAG-Rider commit rule: `n − f` round-4
+    /// vertices with strong paths to the leader.
     fn wave_ready(&mut self, w: WaveId, ctx: &mut Context<'_, AsymRiderMsg, OrderedVertex>) {
         if w <= self.committer.decided_wave() {
             return;
         }
-        self.core.metrics_mut().waves_attempted += 1;
-        let quota = self.quota();
+        let quota = self.quota;
         let mut out = Vec::new();
         let outcome = self.committer.wave_ready(
             self.core.dag(),
             &self.coin,
             w,
-            |dag, leader| Self::commit_rule(dag, leader, quota),
+            |supporters| supporters.len() >= quota,
             &mut out,
         );
-        match outcome {
-            CommitOutcome::NoLeaderVertex => self.core.metrics_mut().waves_skipped_no_leader += 1,
-            CommitOutcome::RuleNotMet => self.core.metrics_mut().waves_skipped_rule += 1,
-            CommitOutcome::Committed { .. } => self.core.metrics_mut().waves_committed += 1,
-        }
-        for o in out {
-            self.core.metrics_mut().vertices_ordered += 1;
-            self.core.metrics_mut().txs_ordered += o.block.txs.len() as u64;
-            ctx.output(o);
-        }
+        self.core.metrics_mut().count_wave(outcome);
+        self.core.deliver(out, ctx);
     }
 
     fn advance(&mut self, ctx: &mut Context<'_, AsymRiderMsg, OrderedVertex>) {
@@ -130,7 +105,7 @@ impl DagRider {
             if cur >= self.core.config().max_round() {
                 break;
             }
-            if self.core.dag().sources_in_round(cur).len() < self.quota() {
+            if self.core.dag().sources_in_round(cur).len() < self.quota {
                 break;
             }
             if cur > 0 && cur.is_multiple_of(4) {
@@ -164,7 +139,7 @@ impl Protocol for DagRider {
         ctx: &mut Context<'_, Self::Msg, Self::Output>,
     ) {
         let AsymRiderMsg::Arb(inner) = msg else { return };
-        let quota = self.quota();
+        let quota = self.quota;
         let (out, _fresh) = self.core.handle_arb(from, inner, |v| v.strong_edges().len() >= quota);
         for m in out {
             ctx.broadcast(AsymRiderMsg::Arb(m));

@@ -18,19 +18,16 @@
 //!    the wave's deliveries in the deterministic delivery order, blocks
 //!    included.
 //!
-//! **Asymmetric-trust acceptance.** The fetch path for vertices already
-//! required bit-identical copies from one of the receiver's *kernels* (a
-//! set intersecting all of its quorums); transferred state crosses the
-//! network outside the DAG and outside reliable broadcast, so it is held to
-//! the same bar: a segment is installed only once identical copies arrived
-//! from a kernel of the **receiver's own** quorum system ([`TransferState`]
-//! tracks one vote per responder per wave). At least one member of every
-//! such kernel is honest under the receiver's trust assumption, so a lone
-//! equivocator cannot forge state, and kernel corroboration doubles as the
-//! per-wave confirmation evidence (the CONFIRM-from-kernel amplification
-//! rule, Algorithm 5 line 131). Agreement makes honest copies bit-identical:
-//! per-wave delivery sets and their `(round, source)` order are common to
-//! every honest process that decided the wave.
+//! **Asymmetric-trust acceptance.** Transferred state crosses the network
+//! outside reliable broadcast, so it passes the rule fetched vertices pass,
+//! implemented once for both: a segment is installed only once identical
+//! copies arrived from a *kernel* (a set meeting all quorums) of the
+//! **receiver's own** quorum system, one vote per responder per wave. Such
+//! a kernel holds a process the receiver trusts, so a lone equivocator
+//! cannot forge state, and the corroboration doubles as the wave's
+//! confirmation evidence (Algorithm 5 line 131). Agreement makes honest
+//! copies bit-identical: per-wave delivery sets and their `(round, source)`
+//! order are common to every honest process that decided the wave.
 //!
 //! # Example: offer → corroborate → install round-trip
 //!
@@ -69,8 +66,9 @@
 use std::collections::HashMap;
 
 use asym_dag::{VertexId, WaveId};
-use asym_quorum::{AsymQuorumSystem, ProcessId, ProcessSet};
+use asym_quorum::{AsymQuorumSystem, ProcessId};
 
+use crate::kernel_votes::KernelVotes;
 use crate::types::Block;
 
 /// One transferable wave of certified delivered state: the commit-log entry
@@ -119,15 +117,12 @@ pub struct TransferStats {
 }
 
 /// Receiver-side state of a delivered-state transfer: per-wave segment
-/// copies with their vouching responders, one vote per responder per wave.
-///
-/// A Byzantine donor gets exactly one vote per wave, and votes are tracked
-/// per *copy*, so a forged first reply can neither be installed alone nor
-/// veto the genuine copy.
+/// votes awaiting kernel corroboration (at most
+/// [`TransferState::MAX_PENDING_WAVES`] waves), the peers asked for state,
+/// and activity counters.
 #[derive(Clone, Debug, Default)]
 pub struct TransferState {
-    /// wave → the distinct segment copies seen, each with its vouchers.
-    votes: HashMap<WaveId, Vec<(WaveSegment, ProcessSet)>>,
+    votes: KernelVotes<WaveId, WaveSegment, { TransferState::MAX_PENDING_WAVES }>,
     /// Peers sent a `StateRequest`, with the decided-wave watermark the
     /// request named. A peer is asked again only after the watermark has
     /// advanced past its previous request — so requests stay bounded while
@@ -181,31 +176,11 @@ impl TransferState {
     }
 
     /// Records one responder's copy of a segment (first copy per wave per
-    /// responder wins; later copies from the same responder are ignored).
-    /// When the pending-wave window is full, only waves below the current
-    /// highest pending wave are admitted (the highest is evicted) — the
-    /// next installable wave is always the lowest, so the window never
-    /// starves genuine progress.
+    /// responder wins). A full pending-wave window admits only waves below
+    /// the highest pending one, which it evicts: the next installable wave
+    /// is always the lowest, so the window never starves genuine progress.
     pub fn vote(&mut self, from: ProcessId, segment: WaveSegment) {
-        if !self.votes.contains_key(&segment.wave) && self.votes.len() >= Self::MAX_PENDING_WAVES {
-            let highest = self.votes.keys().max().copied().expect("non-empty at cap");
-            if segment.wave >= highest {
-                return;
-            }
-            self.votes.remove(&highest);
-        }
-        let copies = self.votes.entry(segment.wave).or_default();
-        if copies.iter().any(|(_, voters)| voters.contains(from)) {
-            return;
-        }
-        let slot = match copies.iter().position(|(copy, _)| *copy == segment) {
-            Some(i) => i,
-            None => {
-                copies.push((segment, ProcessSet::new()));
-                copies.len() - 1
-            }
-        };
-        copies[slot].1.insert(from);
+        self.votes.vote(segment.wave, from, segment);
     }
 
     /// Counts a segment rejected before voting (stale, wrong leader,
@@ -236,24 +211,13 @@ impl TransferState {
         quorums: &AsymQuorumSystem,
         me: ProcessId,
     ) -> Option<WaveSegment> {
-        let mut waves: Vec<WaveId> = self.votes.keys().copied().filter(|w| *w > decided).collect();
-        waves.sort_unstable();
-        for wave in waves {
-            let copies = self.votes.get(&wave).expect("key just listed");
-            if let Some(slot) = copies.iter().position(|(copy, voters)| {
-                copy.prev_wave == decided && quorums.hits_kernel_for(me, voters)
-            }) {
-                let mut copies = self.votes.remove(&wave).expect("key just listed");
-                return Some(copies.swap_remove(slot).0);
-            }
-        }
-        None
+        self.votes.take_ready(decided + 1.., quorums, me, |seg| seg.prev_wave == decided)
     }
 
     /// Drops pending segments for waves at or below `decided` — they can
     /// never be installed (the watermark already passed them).
     pub fn discard_through(&mut self, decided: WaveId) {
-        self.votes.retain(|w, _| *w > decided);
+        self.votes.discard_through(decided);
     }
 
     /// Number of waves with pending, not-yet-corroborated segments.
@@ -282,34 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_corroboration_gates_take_ready() {
-        let t = topology::uniform_threshold(4, 1);
-        let mut xfer = TransferState::new();
-        xfer.vote(pid(1), segment(1, 7));
-        assert!(xfer.take_ready(0, &t.quorums, pid(0)).is_none());
-        // The same responder voting twice does not help.
-        xfer.vote(pid(1), segment(1, 7));
-        assert!(xfer.take_ready(0, &t.quorums, pid(0)).is_none());
-        xfer.vote(pid(3), segment(1, 7));
-        let ready = xfer.take_ready(0, &t.quorums, pid(0)).expect("two distinct vouchers");
-        assert_eq!(ready, segment(1, 7));
-        assert_eq!(xfer.pending_waves(), 0, "taking a wave clears its entry");
-    }
-
-    #[test]
-    fn forged_copy_cannot_veto_or_ride_the_genuine_one() {
-        let t = topology::uniform_threshold(4, 1);
-        let mut xfer = TransferState::new();
-        // The liar answers first with a forged copy.
-        xfer.vote(pid(3), segment(1, 666));
-        // Honest copies still accumulate on their own slot and win.
-        xfer.vote(pid(1), segment(1, 7));
-        xfer.vote(pid(2), segment(1, 7));
-        let ready = xfer.take_ready(0, &t.quorums, pid(0)).expect("honest kernel");
-        assert_eq!(*ready.deliveries[0].1.txs, [7], "the forged copy must not be installed");
-    }
-
-    #[test]
     fn one_request_per_offerer_per_watermark() {
         let mut xfer = TransferState::new();
         assert!(!xfer.note_offer(pid(1), 3, 5), "offer at or below my watermark is useless");
@@ -326,24 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn pending_wave_window_is_bounded_and_keeps_the_lowest_waves() {
-        let t = topology::uniform_threshold(4, 1);
-        let mut xfer = TransferState::new();
-        // A forger floods far-future waves: the window caps what is stored.
-        for wave in 2..2 + 2 * TransferState::MAX_PENDING_WAVES as u64 {
-            xfer.vote(pid(3), segment(wave, 666));
-        }
-        assert_eq!(xfer.pending_waves(), TransferState::MAX_PENDING_WAVES);
-        // A *lower* genuine wave still gets in (the highest is evicted), so
-        // the flood cannot starve the next installable wave.
-        xfer.vote(pid(1), segment(1, 7));
-        xfer.vote(pid(2), segment(1, 7));
-        assert_eq!(xfer.pending_waves(), TransferState::MAX_PENDING_WAVES);
-        let ready = xfer.take_ready(0, &t.quorums, pid(0)).expect("lowest wave installable");
-        assert_eq!(*ready.deliveries[0].1.txs, [7]);
-    }
-
-    #[test]
     fn discard_through_drops_stale_waves() {
         let mut xfer = TransferState::new();
         xfer.vote(pid(1), segment(1, 1));
@@ -353,6 +271,8 @@ mod tests {
         assert_eq!(xfer.pending_waves(), 1);
         let t = topology::uniform_threshold(4, 1);
         xfer.vote(pid(2), segment(3, 3));
+        // Kernel-vouched, but wave 3 chains onto wave 2, not onto wave 1.
+        assert!(xfer.take_ready(1, &t.quorums, pid(0)).is_none());
         assert!(xfer.take_ready(2, &t.quorums, pid(0)).is_some());
     }
 }

@@ -5,6 +5,8 @@ use std::sync::Arc;
 
 use asym_dag::{Round, VertexId, WaveId};
 
+use crate::ordering::CommitOutcome;
+
 /// An opaque transaction identifier (simulation-level payload).
 pub type Tx = u64;
 
@@ -128,6 +130,18 @@ pub struct RiderMetrics {
     pub txs_ordered: u64,
     /// Vertices created and broadcast by this process.
     pub vertices_created: u64,
+}
+
+impl RiderMetrics {
+    /// Counts one wave-boundary commit attempt by its outcome.
+    pub fn count_wave(&mut self, outcome: CommitOutcome) {
+        self.waves_attempted += 1;
+        match outcome {
+            CommitOutcome::NoLeaderVertex => self.waves_skipped_no_leader += 1,
+            CommitOutcome::RuleNotMet => self.waves_skipped_rule += 1,
+            CommitOutcome::Committed { .. } => self.waves_committed += 1,
+        }
+    }
 }
 
 #[cfg(test)]

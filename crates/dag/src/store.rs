@@ -356,22 +356,32 @@ impl<B> DagStore<B> {
     /// `orderVertices`.
     pub fn causal_history(&self, from: VertexId) -> Vec<VertexId> {
         let mut seen: HashSet<VertexId> = HashSet::new();
-        let mut queue: VecDeque<VertexId> = VecDeque::new();
         if self.contains(from) {
-            queue.push_back(from);
-            seen.insert(from);
-        }
-        while let Some(cur) = queue.pop_front() {
-            let Some(v) = self.get(cur) else { continue };
-            for p in v.parents() {
-                if seen.insert(p) {
-                    queue.push_back(p);
-                }
-            }
+            self.extend_history(&mut seen, from);
         }
         let mut out: Vec<VertexId> = seen.into_iter().collect();
         out.sort();
         out
+    }
+
+    /// Adds `from` and everything reachable from it through stored
+    /// vertices' parents to `seen`, which must already hold the history of
+    /// each of its members (as it does when only grown by this method).
+    /// Returns `false`, without walking, if `from` was already in `seen`.
+    pub fn extend_history(&self, seen: &mut HashSet<VertexId>, from: VertexId) -> bool {
+        if !seen.insert(from) {
+            return false;
+        }
+        let mut stack = vec![from];
+        while let Some(cur) = stack.pop() {
+            let Some(v) = self.get(cur) else { continue };
+            for p in v.parents() {
+                if seen.insert(p) {
+                    stack.push(p);
+                }
+            }
+        }
+        true
     }
 }
 
