@@ -1,11 +1,10 @@
 //! Cost of the broadcast layer: one asymmetric reliable broadcast to full
-//! delivery (all processes), across system sizes and quorum representations,
-//! plus the cheaper consistent broadcast for contrast.
+//! delivery (all processes), across system sizes and quorum representations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use asym_broadcast::{ArbProcess, CbProcess};
+use asym_broadcast::ArbProcess;
 use asym_dag_rider::prelude::*;
 
 fn pid(i: usize) -> ProcessId {
@@ -15,16 +14,6 @@ fn pid(i: usize) -> ProcessId {
 fn run_arb(quorums: &AsymQuorumSystem, seed: u64) -> u64 {
     let n = quorums.n();
     let procs: Vec<ArbProcess> = (0..n).map(|i| ArbProcess::new(pid(i), quorums.clone())).collect();
-    let mut sim = Simulation::new(procs, scheduler::Random::new(seed));
-    sim.input(pid(0), (0, 7));
-    let r = sim.run(u64::MAX);
-    assert!(r.quiescent);
-    r.steps
-}
-
-fn run_cb(quorums: &AsymQuorumSystem, seed: u64) -> u64 {
-    let n = quorums.n();
-    let procs: Vec<CbProcess> = (0..n).map(|i| CbProcess::new(pid(i), quorums.clone())).collect();
     let mut sim = Simulation::new(procs, scheduler::Random::new(seed));
     sim.input(pid(0), (0, 7));
     let r = sim.run(u64::MAX);
@@ -46,14 +35,5 @@ fn bench_reliable(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_consistent_vs_reliable(c: &mut Criterion) {
-    let mut g = c.benchmark_group("consistent-vs-reliable");
-    g.sample_size(20);
-    let t = topology::uniform_threshold(10, 3);
-    g.bench_function("reliable-n10", |b| b.iter(|| black_box(run_arb(&t.quorums, 1))));
-    g.bench_function("consistent-n10", |b| b.iter(|| black_box(run_cb(&t.quorums, 1))));
-    g.finish();
-}
-
-criterion_group!(benches, bench_reliable, bench_consistent_vs_reliable);
+criterion_group!(benches, bench_reliable);
 criterion_main!(benches);

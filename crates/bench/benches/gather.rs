@@ -41,12 +41,14 @@ fn run_asym(t: &topology::Topology, seed: u64) -> u64 {
 
 fn run_naive(t: &topology::Topology, seed: u64) -> u64 {
     let procs: Vec<NaiveGather<u64>> =
-        (0..t.n()).map(|i| NaiveGather::new(pid(i), t.quorums.clone())).collect();
+        (0..t.n()).map(|i| NaiveGather::new(pid(i), t.quorums.clone(), 3)).collect();
     let mut sim = Simulation::new(procs, scheduler::Random::new(seed));
     for i in 0..t.n() {
         sim.input(pid(i), i as u64);
     }
-    sim.run(u64::MAX).steps
+    let r = sim.run(u64::MAX);
+    assert!(r.quiescent);
+    r.steps
 }
 
 fn bench_gather_protocols(c: &mut Criterion) {

@@ -1,7 +1,8 @@
 //! LAT-G / LAT-C: message complexity and simulated-time latency.
 //!
-//! * gather: Algorithm 1 vs Algorithm 3 vs the (unsound) Algorithm 2 —
-//!   messages and simulated time to everyone's `ag-deliver`;
+//! * gather: Algorithm 1 vs Algorithm 3 vs the (unsound) Algorithm 2, i.e.
+//!   the `R`-round quorum-replacement gather at `R = 3` — messages and
+//!   simulated time to everyone's `ag-deliver`;
 //! * consensus: asymmetric DAG-Rider vs the symmetric baseline — simulated
 //!   time per committed wave and per ordered transaction.
 //!
@@ -39,7 +40,7 @@ fn main() {
     for (n, f) in [(4usize, 1usize), (7, 2), (10, 3), (16, 5)] {
         let t = topology::uniform_threshold(n, f);
         let (m1, t1) = gather_cost(n, |i| SymGather::<u64>::new(pid(i), n, f), 7);
-        let (m2, t2) = gather_cost(n, |i| NaiveGather::<u64>::new(pid(i), t.quorums.clone()), 7);
+        let (m2, t2) = gather_cost(n, |i| NaiveGather::<u64>::new(pid(i), t.quorums.clone(), 3), 7);
         let (m3, t3) = gather_cost(n, |i| AsymGather::<u64>::new(pid(i), t.quorums.clone()), 7);
         rows.push(Row {
             label: format!("n={n}, f={f}"),

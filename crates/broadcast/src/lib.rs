@@ -1,5 +1,5 @@
-//! Reliable and consistent broadcast over (asymmetric) Byzantine quorum
-//! systems — the `arb-broadcast` / `arb-deliver` primitive of the paper.
+//! Reliable broadcast over (asymmetric) Byzantine quorum systems — the
+//! `arb-broadcast` / `arb-deliver` primitive of the paper.
 //!
 //! The paper's DAG protocols disseminate every vertex through **asymmetric
 //! reliable broadcast** (Alpos et al.), obtained from Bracha's protocol by
@@ -11,8 +11,6 @@
 //!   (SEND → ECHO → READY with kernel amplification); with a uniform
 //!   threshold system this is exactly Bracha's protocol, which doubles as the
 //!   symmetric baseline.
-//! * [`ConsistentHub`] — the weaker, one-round-cheaper consistent broadcast
-//!   (no totality), included for the Mysticeti-style latency ablation.
 //! * [`ArbProcess`] — a standalone simulation wrapper with honest and
 //!   equivocating roles for adversarial tests.
 //!
@@ -29,13 +27,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cb_process;
-mod consistent;
 mod process;
 mod reliable;
-mod tally;
 
-pub use cb_process::{CbProcess, EquivocatingCbSender};
-pub use consistent::{CbcastMsg, ConsistentHub};
 pub use process::{ArbProcess, ArbRole};
 pub use reliable::{BcastMsg, BroadcastHub, Delivery, Tag};

@@ -1,5 +1,5 @@
-//! Standalone [`Protocol`] wrapper around the broadcast hubs, plus Byzantine
-//! sender variants for adversarial testing.
+//! Standalone [`Protocol`] wrapper around the reliable-broadcast hub, plus
+//! Byzantine sender variants for adversarial testing.
 //!
 //! The gather and consensus crates embed [`BroadcastHub`] directly; this
 //! wrapper exists so that the broadcast layer can be exercised (and attacked)

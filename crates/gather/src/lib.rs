@@ -7,9 +7,11 @@
 //! output. This crate contains all three protocols the paper discusses:
 //!
 //! * [`SymGather`] (Algorithm 1) — the classic three-round threshold gather;
-//! * [`NaiveGather`] (Algorithm 2) — the quorum-replacement attempt, **shown
-//!   unsound** by Lemma 3.2; [`Lemma32Scheduler`] reproduces the Appendix-A
-//!   adversarial execution on the Figure-1 system;
+//! * [`NaiveGather`] (Algorithm 2) — the `R`-round quorum-replacement
+//!   gather, which at `R = 3` is Algorithm 2, **shown unsound** by Lemma 3.2;
+//!   [`Lemma32Scheduler`] reproduces the Appendix-A adversarial execution on
+//!   the Figure-1 system. As §3 notes, `log₂ n + 1` rounds always suffice
+//!   (Figure 1 needs 4), a latency that grows with `n`;
 //! * [`AsymGather`] (Algorithm 3) — the paper's novel constant-round
 //!   asymmetric gather with the ACK/READY/CONFIRM control layer;
 //!
@@ -36,7 +38,6 @@
 mod asymmetric;
 pub mod common;
 pub mod dataflow;
-mod iterated;
 mod naive;
 mod symmetric;
 
@@ -44,6 +45,5 @@ pub use asymmetric::{AsymGather, AsymGatherConfig, AsymGatherMsg};
 pub use common::{
     check_pairwise_agreement, find_common_core, merge_pairs, pairs_subset, to_wire, ValueSet,
 };
-pub use iterated::{IteratedGather, IteratedGatherMsg, IteratedLemma32Scheduler};
 pub use naive::{Lemma32Scheduler, NaiveGather, NaiveGatherMsg};
 pub use symmetric::{SymGather, SymGatherMsg};

@@ -1,13 +1,21 @@
 //! **Algorithm 2** — the quorum-replacement gather attempt, which the paper
-//! proves unsound (Lemma 3.2).
+//! proves unsound (Lemma 3.2), generalized to `R` rounds.
 //!
 //! This protocol is Algorithm 1 with every `n − f` threshold replaced by
 //! "one of my quorums" and the reliable broadcast replaced by its asymmetric
 //! version — the standard heuristic that *works* for broadcast and binary
-//! consensus but fails here. The module also provides the
-//! [`Lemma32Scheduler`], the adversarial delivery schedule of Appendix A
-//! under which the Figure-1 system reaches **no common core**: every process
-//! hears exactly its own quorum in each round.
+//! consensus but fails here. With `R = 3` rounds it is exactly Algorithm 2.
+//! The paper observes that quorum consistency does make the same round
+//! structure converge, just not in three rounds: with `R` rounds of "collect
+//! sets from one of my quorums, union, forward", any system with fewer than
+//! `2^(R-1)` processes reaches a common core, so `log₂ n + 1` rounds always
+//! suffice. That logarithmic latency is what a DAG protocol cannot afford,
+//! which motivates the constant-round Algorithm 3.
+//!
+//! The module also provides the [`Lemma32Scheduler`], the adversarial
+//! delivery schedule of Appendix A under which the Figure-1 system reaches
+//! **no common core** at `R = 3` (every process hears exactly its own quorum
+//! in each round), while `R = 4` already succeeds under the same adversary.
 
 use asym_broadcast::{BcastMsg, BroadcastHub};
 use asym_quorum::{AsymQuorumSystem, ProcessId, ProcessSet};
@@ -15,76 +23,87 @@ use asym_sim::{Context, InFlight, Protocol, Scheduler, Step};
 
 use crate::common::{merge_pairs, to_wire, ValueSet};
 
-/// Wire messages of the naive asymmetric gather.
+/// Wire messages of the quorum-replacement gather: the arb layer plus one
+/// `DISTRIBUTE` message kind per round level.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum NaiveGatherMsg<V> {
     /// Asymmetric reliable broadcast layer for the initial values.
     Arb(BcastMsg<V>),
-    /// Round-2 set distribution.
-    DistS(Vec<(ProcessId, V)>),
-    /// Round-3 set distribution.
-    DistT(Vec<(ProcessId, V)>),
+    /// Level-`k` set distribution: level 1 carries `S` (Algorithm 2's
+    /// `DISTRIBUTE_S`), level 2 carries `T` (`DISTRIBUTE_T`), and so on.
+    Distribute {
+        /// Round level of the carried set (1-based).
+        level: u32,
+        /// The sender's accumulated set at the level below.
+        pairs: Vec<(ProcessId, V)>,
+    },
 }
 
-/// One process of the naive (quorum-replacement) asymmetric gather —
-/// Algorithm 2, kept for the negative result and the comparison experiments.
+/// One process of the `R`-round quorum-replacement gather.
+///
+/// With `rounds == 3` this is exactly Algorithm 2 (unsound on Figure 1),
+/// kept for the negative result and the comparison experiments; with
+/// `rounds ≥ log₂ n + 1` the quorum-consistency argument guarantees a common
+/// core at the cost of logarithmic latency.
 #[derive(Clone, Debug)]
 pub struct NaiveGather<V> {
     me: ProcessId,
     quorums: AsymQuorumSystem,
     hub: BroadcastHub<V>,
-    s: ValueSet<V>,
-    t: ValueSet<V>,
-    u: ValueSet<V>,
-    dist_s_from: ProcessSet,
-    dist_t_from: ProcessSet,
-    sent_s: bool,
-    sent_t: bool,
+    /// `sets[k]` = accumulated set at level `k` (0 = arb deliveries, `S`).
+    sets: Vec<ValueSet<V>>,
+    /// `senders[k]` = who contributed to `sets[k]`: arb-delivered origins at
+    /// level 0, senders of level-`k` distribute messages above.
+    senders: Vec<ProcessSet>,
+    /// Whether the level-`k` distribute message was sent.
+    sent: Vec<bool>,
     delivered: bool,
 }
 
 impl<V: Clone + Eq + std::hash::Hash + core::fmt::Debug> NaiveGather<V> {
-    /// Creates a naive-gather process under the given asymmetric quorum
-    /// system.
-    pub fn new(me: ProcessId, quorums: AsymQuorumSystem) -> Self {
+    /// Creates an `R`-round quorum-replacement gather process under the
+    /// given asymmetric quorum system; `rounds = 3` is Algorithm 2.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rounds < 2` (one collection plus one distribution is the
+    /// minimum meaningful configuration).
+    pub fn new(me: ProcessId, quorums: AsymQuorumSystem, rounds: u32) -> Self {
+        assert!(rounds >= 2, "quorum-replacement gather needs at least 2 rounds");
+        let r = rounds as usize;
         NaiveGather {
             me,
             hub: BroadcastHub::new(me, quorums.clone()),
             quorums,
-            s: ValueSet::new(),
-            t: ValueSet::new(),
-            u: ValueSet::new(),
-            dist_s_from: ProcessSet::new(),
-            dist_t_from: ProcessSet::new(),
-            sent_s: false,
-            sent_t: false,
+            sets: vec![ValueSet::new(); r],
+            senders: vec![ProcessSet::new(); r],
+            sent: vec![false; r],
             delivered: false,
         }
     }
 
-    /// The delivered `U` set, if `ag-deliver` fired.
+    /// The delivered final set (`U` for Algorithm 2), if `ag-deliver` fired.
     pub fn delivered_set(&self) -> Option<&ValueSet<V>> {
-        self.delivered.then_some(&self.u)
-    }
-
-    /// The current `S` set (observer inspection).
-    pub fn s_set(&self) -> &ValueSet<V> {
-        &self.s
+        self.delivered.then(|| self.sets.last().expect("rounds ≥ 2"))
     }
 
     fn advance(&mut self, ctx: &mut Context<'_, NaiveGatherMsg<V>, ValueSet<V>>) {
-        let support: ProcessSet = self.s.keys().copied().collect();
-        if !self.sent_s && self.quorums.contains_quorum_for(self.me, &support) {
-            self.sent_s = true;
-            ctx.broadcast(NaiveGatherMsg::DistS(to_wire(&self.s)));
+        // Level k fires on a quorum behind the level-(k−1) set: arb-delivered
+        // values for k = 1, distribute messages above. Delivery fires on a
+        // quorum of final-level distribute messages.
+        let r = self.sets.len();
+        for k in 1..r {
+            if !self.sent[k] && self.quorums.contains_quorum_for(self.me, &self.senders[k - 1]) {
+                self.sent[k] = true;
+                ctx.broadcast(NaiveGatherMsg::Distribute {
+                    level: k as u32,
+                    pairs: to_wire(&self.sets[k - 1]),
+                });
+            }
         }
-        if !self.sent_t && self.quorums.contains_quorum_for(self.me, &self.dist_s_from) {
-            self.sent_t = true;
-            ctx.broadcast(NaiveGatherMsg::DistT(to_wire(&self.t)));
-        }
-        if !self.delivered && self.quorums.contains_quorum_for(self.me, &self.dist_t_from) {
+        if !self.delivered && self.quorums.contains_quorum_for(self.me, &self.senders[r - 1]) {
             self.delivered = true;
-            ctx.output(self.u.clone());
+            ctx.output(self.sets[r - 1].clone());
         }
     }
 }
@@ -113,17 +132,14 @@ impl<V: Clone + Eq + std::hash::Hash + core::fmt::Debug> Protocol for NaiveGathe
                     ctx.broadcast(NaiveGatherMsg::Arb(m));
                 }
                 for d in deliveries {
-                    merge_pairs(&mut self.s, &[(d.origin, d.value)]);
+                    self.senders[0].insert(d.origin);
+                    merge_pairs(&mut self.sets[0], &[(d.origin, d.value)]);
                 }
             }
-            NaiveGatherMsg::DistS(pairs) => {
-                if self.dist_s_from.insert(from) {
-                    merge_pairs(&mut self.t, &pairs);
-                }
-            }
-            NaiveGatherMsg::DistT(pairs) => {
-                if self.dist_t_from.insert(from) {
-                    merge_pairs(&mut self.u, &pairs);
+            NaiveGatherMsg::Distribute { level, pairs } => {
+                let k = level as usize;
+                if (1..self.sets.len()).contains(&k) && self.senders[k].insert(from) {
+                    merge_pairs(&mut self.sets[k], &pairs);
                 }
             }
         }
@@ -140,7 +156,7 @@ impl<V: Clone + Eq + std::hash::Hash + core::fmt::Debug> Protocol for NaiveGathe
 ///   cooperation);
 /// * arb `READY` for origin `o` — deliverable at `r` only if `o ∈ Q(r)`, so
 ///   `r` arb-delivers exactly the values of its quorum;
-/// * `DISTRIBUTE_S` / `DISTRIBUTE_T` from `s` — deliverable at `r` only if
+/// * `DISTRIBUTE` (any level) from `s` — deliverable at `r` only if
 ///   `s ∈ Q(r)`.
 ///
 /// Starved messages model "arbitrarily delayed"; after the observable run
@@ -161,10 +177,9 @@ impl Lemma32Scheduler {
     fn allows<V>(&self, m: &InFlight<NaiveGatherMsg<V>>) -> bool {
         let q = &self.quorum_of[m.to.index()];
         match &m.msg {
-            NaiveGatherMsg::Arb(BcastMsg::Send { .. })
-            | NaiveGatherMsg::Arb(BcastMsg::Echo { .. }) => true,
             NaiveGatherMsg::Arb(BcastMsg::Ready { origin, .. }) => q.contains(*origin),
-            NaiveGatherMsg::DistS(_) | NaiveGatherMsg::DistT(_) => q.contains(m.from),
+            NaiveGatherMsg::Arb(_) => true,
+            NaiveGatherMsg::Distribute { .. } => q.contains(m.from),
         }
     }
 }
@@ -193,24 +208,50 @@ mod tests {
         ProcessId::new(i)
     }
 
+    fn fig1_choice() -> Vec<ProcessSet> {
+        (0..FIG1_N).map(|i| fig1_quorum_of(pid(i))).collect()
+    }
+
+    /// The `rounds`-round gather on the Figure-1 system under the Appendix-A
+    /// adversary, with every process's input given and nothing yet run.
+    fn fig1_adversarial(rounds: u32) -> Simulation<NaiveGather<u64>, Lemma32Scheduler> {
+        let qs = fig1_quorums();
+        let procs = (0..FIG1_N).map(|i| NaiveGather::new(pid(i), qs.clone(), rounds)).collect();
+        let mut sim = Simulation::new(procs, Lemma32Scheduler::new(fig1_choice()));
+        for i in 0..FIG1_N {
+            sim.input(pid(i), i as u64);
+        }
+        sim
+    }
+
+    /// Runs [`fig1_adversarial`] to quiescence; returns whether a common core
+    /// was reached.
+    fn fig1_with_rounds(rounds: u32) -> bool {
+        let mut sim = fig1_adversarial(rounds);
+        assert!(sim.run(200_000_000).quiescent);
+        let outputs: Vec<ValueSet<u64>> = (0..FIG1_N)
+            .map(|i| {
+                let out = sim.outputs(pid(i));
+                assert_eq!(out.len(), 1, "process {i} must deliver (rounds={rounds})");
+                out[0].clone()
+            })
+            .collect();
+        let refs: Vec<(ProcessId, &ValueSet<u64>)> =
+            outputs.iter().enumerate().map(|(i, u)| (pid(i), u)).collect();
+        find_common_core(&fig1_quorums(), &ProcessSet::full(FIG1_N), &refs).is_some()
+    }
+
     #[test]
     fn lemma_3_2_no_common_core_on_figure_1() {
         // The headline negative result, as a full message-passing execution:
         // running Algorithm 2 on the Figure-1 system under the Appendix-A
         // schedule delivers U sets with NO common core.
-        let qs = fig1_quorums();
-        let quorum_of: Vec<ProcessSet> = (0..FIG1_N).map(|i| fig1_quorum_of(pid(i))).collect();
-        let procs: Vec<NaiveGather<u64>> =
-            (0..FIG1_N).map(|i| NaiveGather::new(pid(i), qs.clone())).collect();
-        let mut sim = Simulation::new(procs, Lemma32Scheduler::new(quorum_of.clone()));
-        for i in 0..FIG1_N {
-            sim.input(pid(i), i as u64);
-        }
+        let mut sim = fig1_adversarial(3);
         let report = sim.run(50_000_000);
         assert!(report.quiescent, "adversarial run must reach quiescence");
 
         // Every process delivered, and its U set matches Listing 1 exactly.
-        let expected = dataflow::three_rounds(&quorum_of);
+        let expected = dataflow::three_rounds(&fig1_choice());
         let mut outputs: Vec<ValueSet<u64>> = Vec::new();
         for i in 0..FIG1_N {
             let out = sim.outputs(pid(i));
@@ -228,8 +269,29 @@ mod tests {
         // No common core: no process's S set is inside every U set.
         let refs: Vec<(ProcessId, &ValueSet<u64>)> =
             outputs.iter().enumerate().map(|(i, u)| (pid(i), u)).collect();
-        let core = find_common_core(&qs, &ProcessSet::full(FIG1_N), &refs);
+        let core = find_common_core(&fig1_quorums(), &ProcessSet::full(FIG1_N), &refs);
         assert!(core.is_none(), "Lemma 3.2 violated: found core {core:?}");
+    }
+
+    #[test]
+    fn four_rounds_succeed_on_figure_1() {
+        // The dataflow analysis says the Figure-1 system converges at 4
+        // rounds; the message-passing protocol agrees.
+        assert!(fig1_with_rounds(4));
+    }
+
+    #[test]
+    fn matches_dataflow_round_requirement() {
+        let needed = dataflow::rounds_to_common_core(&fig1_choice(), 16).unwrap() as u32;
+        assert!(!fig1_with_rounds(needed - 1));
+        assert!(fig1_with_rounds(needed));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2 rounds")]
+    fn rejects_degenerate_round_count() {
+        let t = topology::uniform_threshold(4, 1);
+        let _ = NaiveGather::<u64>::new(pid(0), t.quorums, 1);
     }
 
     #[test]
@@ -241,7 +303,7 @@ mod tests {
             let n = 7;
             let t = topology::uniform_threshold(n, 2);
             let procs: Vec<NaiveGather<u64>> =
-                (0..n).map(|i| NaiveGather::new(pid(i), t.quorums.clone())).collect();
+                (0..n).map(|i| NaiveGather::new(pid(i), t.quorums.clone(), 3)).collect();
             let mut sim = Simulation::new(procs, scheduler::Random::new(seed));
             for i in 0..n {
                 sim.input(pid(i), i as u64);
@@ -265,7 +327,7 @@ mod tests {
         // We only assert termination and agreement here.
         let qs = fig1_quorums();
         let procs: Vec<NaiveGather<u64>> =
-            (0..FIG1_N).map(|i| NaiveGather::new(pid(i), qs.clone())).collect();
+            (0..FIG1_N).map(|i| NaiveGather::new(pid(i), qs.clone(), 3)).collect();
         let mut sim = Simulation::new(procs, scheduler::Random::new(11));
         for i in 0..FIG1_N {
             sim.input(pid(i), i as u64);
@@ -280,14 +342,7 @@ mod tests {
     fn flushing_starved_messages_after_delivery_changes_nothing() {
         // Outputs are final: late messages merge into local sets but cannot
         // retract or alter what was ag-delivered.
-        let qs = fig1_quorums();
-        let quorum_of: Vec<ProcessSet> = (0..FIG1_N).map(|i| fig1_quorum_of(pid(i))).collect();
-        let procs: Vec<NaiveGather<u64>> =
-            (0..FIG1_N).map(|i| NaiveGather::new(pid(i), qs.clone())).collect();
-        let mut sim = Simulation::new(procs, Lemma32Scheduler::new(quorum_of));
-        for i in 0..FIG1_N {
-            sim.input(pid(i), i as u64);
-        }
+        let mut sim = fig1_adversarial(3);
         sim.run(50_000_000);
         let before: Vec<Vec<ValueSet<u64>>> =
             (0..FIG1_N).map(|i| sim.outputs(pid(i)).to_vec()).collect();

@@ -5,6 +5,9 @@
 //! * **Listing 1** — the common-core candidate check (must come out empty);
 //! * the **message-passing** Algorithm 2 under the Appendix-A schedule,
 //!   matching the dataflow exactly (Lemma 3.2);
+//! * the same quorum-replacement gather with one more round (`R = 4`, the
+//!   dataflow's requirement on Figure 1) under the same schedule, which does
+//!   reach a common core;
 //! * the contrast: **Algorithm 3** (constant-round asymmetric gather) on the
 //!   same system reaches a common core.
 //!
@@ -13,7 +16,9 @@
 //! ```
 
 use asym_dag_rider::prelude::*;
-use asym_gather::{dataflow, find_common_core, AsymGather, Lemma32Scheduler, NaiveGather};
+use asym_gather::{
+    dataflow, find_common_core, AsymGather, Lemma32Scheduler, NaiveGather, ValueSet,
+};
 use asym_quorum::counterexample::{
     fig1_fail_prone, fig1_quorum_of, fig1_quorums, render_grid, FIG1_N,
 };
@@ -46,32 +51,26 @@ fn main() {
     println!("no S set is contained in every U set ⇒ NO COMMON CORE (Lemma 3.2) ✓\n");
 
     // ---- The same result over real messages (Algorithm 2 + adversary). ----
-    let procs: Vec<NaiveGather<u64>> =
-        (0..FIG1_N).map(|i| NaiveGather::new(ProcessId::new(i), qs.clone())).collect();
-    let mut sim = Simulation::new(procs, Lemma32Scheduler::new(quorum_rows.clone()));
-    for i in 0..FIG1_N {
-        sim.input(ProcessId::new(i), i as u64);
-    }
-    let report = sim.run(100_000_000);
-    assert!(report.quiescent);
-    let outputs: Vec<asym_gather::ValueSet<u64>> =
-        (0..FIG1_N).map(|i| sim.outputs(ProcessId::new(i))[0].clone()).collect();
+    let (steps, outputs) = adversarial_gather(&qs, &quorum_rows, 3);
     for (i, u) in outputs.iter().enumerate() {
         let support: ProcessSet = u.keys().copied().collect();
         assert_eq!(support, sets.u[i], "protocol U set {} matches Listing 1", i + 1);
     }
-    let refs: Vec<(ProcessId, &asym_gather::ValueSet<u64>)> =
-        outputs.iter().enumerate().map(|(i, u)| (ProcessId::new(i), u)).collect();
-    assert!(find_common_core(&qs, &ProcessSet::full(FIG1_N), &refs).is_none());
+    assert!(common_core(&qs, &outputs).is_none());
     println!(
-        "message-passing Algorithm 2 under the Appendix-A schedule: {} deliveries, \
-         U sets identical to Listing 1, still no common core ✓",
-        report.steps
+        "message-passing Algorithm 2 under the Appendix-A schedule: {steps} deliveries, \
+         U sets identical to Listing 1, still no common core ✓"
     );
 
-    // ---- How many extra rounds would Algorithm 2 need? ----
+    // ---- With the rounds the dataflow asks for, the same gather converges. ----
     let rounds = dataflow::rounds_to_common_core(&quorum_rows, 16).unwrap();
-    println!("quorum-replacement gather needs {rounds} rounds on this system (3 are run)\n");
+    let (steps, outputs) = adversarial_gather(&qs, &quorum_rows, rounds as u32);
+    let (owner, core) = common_core(&qs, &outputs).expect("R-round gather converges");
+    println!(
+        "quorum-replacement gather needs {rounds} rounds on this system: at R = {rounds} \
+         under the same schedule, {steps} deliveries, common core found — quorum {core} \
+         of process {owner} is in every output ✓\n"
+    );
 
     // ---- The fix: Algorithm 3 on the very same system. ----
     let procs: Vec<AsymGather<u64>> =
@@ -81,14 +80,41 @@ fn main() {
         sim.input(ProcessId::new(i), i as u64);
     }
     assert!(sim.run(200_000_000).quiescent);
-    let outputs: Vec<asym_gather::ValueSet<u64>> =
+    let outputs: Vec<ValueSet<u64>> =
         (0..FIG1_N).map(|i| sim.outputs(ProcessId::new(i))[0].clone()).collect();
-    let refs: Vec<(ProcessId, &asym_gather::ValueSet<u64>)> =
-        outputs.iter().enumerate().map(|(i, u)| (ProcessId::new(i), u)).collect();
-    let (owner, core) = find_common_core(&qs, &ProcessSet::full(FIG1_N), &refs)
-        .expect("Algorithm 3 guarantees a common core");
+    let (owner, core) = common_core(&qs, &outputs).expect("Algorithm 3 guarantees a common core");
     println!(
         "ALGORITHM 3 (constant-round asymmetric gather) on the same system: \
          common core found — quorum {core} of process {owner} is in every output ✓"
     );
+}
+
+/// Runs the `rounds`-round quorum-replacement gather (`rounds = 3` is
+/// Algorithm 2) on Figure 1 under the Appendix-A schedule; returns the
+/// delivery steps and each process's delivered set.
+fn adversarial_gather(
+    qs: &AsymQuorumSystem,
+    quorum_rows: &[ProcessSet],
+    rounds: u32,
+) -> (u64, Vec<ValueSet<u64>>) {
+    let procs: Vec<NaiveGather<u64>> =
+        (0..FIG1_N).map(|i| NaiveGather::new(ProcessId::new(i), qs.clone(), rounds)).collect();
+    let mut sim = Simulation::new(procs, Lemma32Scheduler::new(quorum_rows.to_vec()));
+    for i in 0..FIG1_N {
+        sim.input(ProcessId::new(i), i as u64);
+    }
+    let report = sim.run(100_000_000);
+    assert!(report.quiescent);
+    let outputs = (0..FIG1_N).map(|i| sim.outputs(ProcessId::new(i))[0].clone()).collect();
+    (report.steps, outputs)
+}
+
+/// A common core of the delivered sets among all Figure-1 processes, if any.
+fn common_core(
+    qs: &AsymQuorumSystem,
+    outputs: &[ValueSet<u64>],
+) -> Option<(ProcessId, ProcessSet)> {
+    let refs: Vec<(ProcessId, &ValueSet<u64>)> =
+        outputs.iter().enumerate().map(|(i, u)| (ProcessId::new(i), u)).collect();
+    find_common_core(qs, &ProcessSet::full(FIG1_N), &refs)
 }

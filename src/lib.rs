@@ -10,7 +10,7 @@
 //! | [`quorum`] | symmetric & asymmetric Byzantine quorum systems, B³, guilds, the Figure-1 counterexample, topology generators |
 //! | [`sim`] | deterministic discrete-event simulator with adversarial schedulers and fault injection |
 //! | [`crypto`] | from-scratch SHA-256, digests, the simulated common coin |
-//! | [`broadcast`] | Bracha / asymmetric reliable broadcast, consistent broadcast |
+//! | [`broadcast`] | Bracha / asymmetric reliable broadcast |
 //! | [`gather`] | Algorithms 1–3: symmetric gather, the failing quorum-replacement attempt, the constant-round asymmetric gather |
 //! | [`dag`] | certified-DAG substrate: vertices, store, reachability, waves |
 //! | [`storage`] | persistent DAG event log: checksummed WAL, snapshots, in-memory & file backends, crash-recovery replay |

@@ -32,7 +32,7 @@ fn lemma_3_2_full_protocol_equals_listing_1() {
     let expected = dataflow::three_rounds(&choice);
 
     let procs: Vec<NaiveGather<u64>> =
-        (0..FIG1_N).map(|i| NaiveGather::new(pid(i), qs.clone())).collect();
+        (0..FIG1_N).map(|i| NaiveGather::new(pid(i), qs.clone(), 3)).collect();
     let mut sim = Simulation::new(procs, Lemma32Scheduler::new(choice));
     for i in 0..FIG1_N {
         sim.input(pid(i), 10_000 + i as u64);

@@ -1,8 +1,9 @@
 //! Generalized MSG2: on *random* single-quorum-per-process systems (not just
-//! Figure 1), the message-passing Algorithm 2 under the Appendix-A-style
-//! schedule produces exactly the U sets the Listing-1 dataflow predicts.
-//! This pins the protocol implementation to the paper's abstract model on a
-//! whole family of systems.
+//! Figure 1), the message-passing `R`-round quorum-replacement gather under
+//! the Appendix-A-style schedule produces exactly the final sets the
+//! `R`-round dataflow predicts (the U sets of Listing 1 at `R = 3`, which is
+//! Algorithm 2). This pins the protocol implementation to the paper's
+//! abstract model on a whole family of systems.
 
 use asym_scenarios::pid;
 use proptest::prelude::*;
@@ -32,12 +33,16 @@ fn random_single_quorum_system(n: usize, seed: u64) -> Option<(AsymQuorumSystem,
     Some((qs, choice))
 }
 
-/// Runs Algorithm 2 under the quorum-only schedule and returns the support
-/// of each delivered U set.
-fn protocol_u_sets(qs: &AsymQuorumSystem, choice: &[ProcessSet]) -> Vec<ProcessSet> {
+/// Runs the `rounds`-round gather under the quorum-only schedule and returns
+/// the support of each delivered final set.
+fn protocol_final_sets(
+    qs: &AsymQuorumSystem,
+    choice: &[ProcessSet],
+    rounds: u32,
+) -> Vec<ProcessSet> {
     let n = choice.len();
     let procs: Vec<NaiveGather<u64>> =
-        (0..n).map(|i| NaiveGather::new(pid(i), qs.clone())).collect();
+        (0..n).map(|i| NaiveGather::new(pid(i), qs.clone(), rounds)).collect();
     let mut sim = Simulation::new(procs, Lemma32Scheduler::new(choice.to_vec()));
     for i in 0..n {
         sim.input(pid(i), i as u64);
@@ -59,18 +64,22 @@ proptest! {
     fn protocol_matches_dataflow_on_random_systems(
         n in 4usize..9,
         seed in 0u64..10_000,
+        rounds in 2u32..=5,
     ) {
         let Some((qs, choice)) = random_single_quorum_system(n, seed) else {
             return Ok(());
         };
-        let predicted = dataflow::three_rounds(&choice);
-        let observed = protocol_u_sets(&qs, &choice);
+        let predicted = dataflow::n_rounds(&choice, rounds as usize);
+        if rounds == 3 {
+            prop_assert_eq!(&predicted, &dataflow::three_rounds(&choice).u);
+        }
+        let observed = protocol_final_sets(&qs, &choice, rounds);
         for i in 0..n {
             prop_assert_eq!(
                 &observed[i],
-                &predicted.u[i],
-                "U set of p{} diverges from Listing-1 dataflow (n={}, seed={})",
-                i, n, seed
+                &predicted[i],
+                "final set of p{} diverges from the {}-round dataflow (n={}, seed={})",
+                i, rounds, n, seed
             );
         }
         // And the paper's < 16 remark: these systems always reach a core.
@@ -89,7 +98,7 @@ fn protocol_matches_dataflow_on_shifted_window_systems() {
             choice.iter().map(|s| QuorumSystem::explicit(n, vec![s.clone()]).unwrap()).collect();
         let qs = AsymQuorumSystem::new(systems).unwrap();
         let predicted = dataflow::three_rounds(&choice);
-        let observed = protocol_u_sets(&qs, &choice);
+        let observed = protocol_final_sets(&qs, &choice, 3);
         assert_eq!(observed, predicted.u, "n={n}");
     }
 }
