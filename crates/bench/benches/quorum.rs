@@ -54,12 +54,25 @@ fn bench_quorum_checks(c: &mut Criterion) {
 fn bench_b3_validation(c: &mut Criterion) {
     let mut g = c.benchmark_group("b3-validation");
     g.sample_size(20);
+    // Explicit systems enumerate; every other pair of systems is counted.
     let fig1 = counterexample::fig1_fail_prone();
     g.bench_function("fig1-explicit-n30", |b| b.iter(|| black_box(fig1.satisfies_b3())));
     let thr = topology::uniform_threshold(100, 33).fail_prone;
-    g.bench_function("threshold-n100-fastpath", |b| b.iter(|| black_box(thr.satisfies_b3())));
+    g.bench_function("threshold-n100", |b| b.iter(|| black_box(thr.satisfies_b3())));
     let ripple = topology::ripple_unl(12, 10, 1).fail_prone;
     g.bench_function("ripple-n12", |b| b.iter(|| black_box(ripple.satisfies_b3())));
+    for (name, t) in [
+        ("ripple-n16", topology::ripple_unl(16, 13, 2)),
+        ("ripple-n64", topology::ripple_unl(64, 52, 8)),
+        ("stellar-n64", topology::stellar_tiers(64, 10, 3)),
+    ] {
+        g.bench_function(format!("{name}-b3"), |b| {
+            b.iter(|| black_box(t.fail_prone.satisfies_b3()))
+        });
+        g.bench_function(format!("{name}-validate"), |b| {
+            b.iter(|| black_box(t.quorums.validate(&t.fail_prone).is_ok()))
+        });
+    }
     g.finish();
 }
 

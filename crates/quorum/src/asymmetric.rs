@@ -14,6 +14,7 @@
 //! equivalent to the existence of an asymmetric quorum system (Theorem 2.4);
 //! [`AsymFailProneSystem::canonical_quorums`] realizes the canonical witness.
 
+use crate::validation::{distinct, pairs, Universe};
 use crate::{FailProneSystem, ProcessId, ProcessSet, QuorumError, QuorumSystem};
 
 /// An asymmetric fail-prone system `F = [F_1, …, F_n]`: one fail-prone system
@@ -102,74 +103,19 @@ impl AsymFailProneSystem {
 
     /// Returns a witness of a B³ violation, or `None` if B³ holds.
     ///
-    /// The maximal elements of `F_i* ∩ F_j*` are the pairwise intersections of
-    /// maximal sets, so quantifying over those suffices.
-    ///
-    /// Fast path: if every process uses a threshold system, B³ reduces to
-    /// `∀i,j: f_i + f_j + min(f_i, f_j) < n`.
+    /// Checks every pair of *distinct* per-process systems (a uniform system
+    /// is one pair). For two threshold or slice-threshold systems `(S_i, f_i)`
+    /// and `(S_j, f_j)` (a threshold system's slice is all of `P`), B³ holds
+    /// iff `|S_i ∩ S_j| > f_i + f_j + min(f_i, f_j)`, counted by popcount:
+    /// outside `S_i ∩ S_j`, `F_i ∪ F_j` already covers everything. Only a pair
+    /// with an explicit side enumerates maximal sets; the maximal elements of
+    /// `F_i* ∩ F_j*` are then the pairwise intersections of maximal sets.
     pub fn b3_violation(&self) -> Option<QuorumError> {
-        let n = self.n();
-        // Fast path for all-threshold systems.
-        let thresholds: Option<Vec<usize>> = self
-            .systems
-            .iter()
-            .map(|s| match s {
-                FailProneSystem::Threshold { f, .. } => Some(*f),
-                FailProneSystem::Explicit { .. } | FailProneSystem::SliceThreshold { .. } => None,
-            })
-            .collect();
-        if let Some(fs) = thresholds {
-            for i in 0..n {
-                for j in i..n {
-                    let (fi, fj) = (fs[i], fs[j]);
-                    if fi + fj + fi.min(fj) >= n {
-                        // Build a concrete witness: three disjoint-ish slices.
-                        let a = ProcessSet::from_indices(0..fi.min(n));
-                        let b = ProcessSet::from_indices(fi..(fi + fj).min(n));
-                        let rest: Vec<usize> = ((fi + fj).min(n)..n).chain(0..fi.min(fj)).collect();
-                        let c: ProcessSet = rest.into_iter().take(fi.min(fj)).collect();
-                        return Some(QuorumError::B3Violation {
-                            i: ProcessId::new(i),
-                            j: ProcessId::new(j),
-                            fi: a,
-                            fj: b,
-                            fij: c,
-                        });
-                    }
-                }
-            }
-            return None;
-        }
-
-        let full = ProcessSet::full(n);
-        let maximal: Vec<Vec<ProcessSet>> =
-            self.systems.iter().map(FailProneSystem::maximal_sets).collect();
-        for i in 0..n {
-            for j in i..n {
-                // Maximal common fail-prone sets of (i, j).
-                let mut common: Vec<ProcessSet> = Vec::new();
-                for a in &maximal[i] {
-                    for b in &maximal[j] {
-                        common.push(a.intersection(b));
-                    }
-                }
-                crate::combinatorics::retain_maximal(&mut common);
-                for fi in &maximal[i] {
-                    for fj in &maximal[j] {
-                        let union = fi.union(fj);
-                        for fij in &common {
-                            if union.union(fij) == full {
-                                return Some(QuorumError::B3Violation {
-                                    i: ProcessId::new(i),
-                                    j: ProcessId::new(j),
-                                    fi: fi.clone(),
-                                    fj: fj.clone(),
-                                    fij: fij.clone(),
-                                });
-                            }
-                        }
-                    }
-                }
+        let universe = Universe::new(self.n());
+        let systems = distinct(&self.systems);
+        for (&a, &b) in pairs(&systems) {
+            if let Err(violation) = universe.b3(a, b) {
+                return Some(violation);
             }
         }
         None
@@ -295,59 +241,24 @@ impl AsymQuorumSystem {
     /// fail-prone system:
     /// `∀i,j, ∀Q_i ∈ Q_i, ∀Q_j ∈ Q_j, ∀F_ij ∈ F_i* ∩ F_j*: Q_i ∩ Q_j ⊄ F_ij`.
     ///
-    /// Enumerates minimal quorums and maximal common fail-prone sets; intended
-    /// for explicit systems or small thresholds. For uniform threshold systems
-    /// the symmetric fast path is used.
+    /// Checks every pair of *distinct* per-process `(Q_i, F_i)` systems. When
+    /// no side is explicit, each is a slice and a bound — `(T, q)` for the
+    /// quorums, `(S, f)` for the fail-prone sets — and the pair is decided by
+    /// popcounts: with `I = T_i ∩ T_j`, two quorums share at least
+    /// `k = (q_i − |T_i ∖ T_j|)⁺ + (q_j − |T_j ∖ T_i|)⁺ − |I|` members, and the
+    /// pair is consistent iff no common fail-prone set covers `k` members of
+    /// `I`. A pair with an explicit side enumerates minimal quorums and
+    /// maximal common fail-prone sets.
     ///
     /// # Errors
     ///
-    /// Returns the first violation found.
+    /// Returns the first violation found, with two quorums whose intersection
+    /// lies in a common fail-prone set.
     pub fn check_consistency(&self, fps: &AsymFailProneSystem) -> Result<(), QuorumError> {
-        let n = self.n();
-        if n != fps.n() {
-            return Err(QuorumError::MismatchedUniverse { expected: fps.n(), got: n });
-        }
-        // Fast path: all processes share one threshold quorum/fail-prone pair.
-        if let (QuorumSystem::Threshold { .. }, FailProneSystem::Threshold { .. }) =
-            (&self.systems[0], &fps.systems[0])
-        {
-            let all_same = self.systems.iter().all(|s| *s == self.systems[0])
-                && fps.systems.iter().all(|s| *s == fps.systems[0]);
-            if all_same {
-                return self.systems[0].check_consistency(&fps.systems[0]);
-            }
-        }
-
-        let quorums: Vec<Vec<ProcessSet>> =
-            self.systems.iter().map(QuorumSystem::minimal_quorums).collect();
-        let maximal: Vec<Vec<ProcessSet>> =
-            fps.systems.iter().map(FailProneSystem::maximal_sets).collect();
-        for i in 0..n {
-            for j in i..n {
-                let mut common: Vec<ProcessSet> = Vec::new();
-                for a in &maximal[i] {
-                    for b in &maximal[j] {
-                        common.push(a.intersection(b));
-                    }
-                }
-                crate::combinatorics::retain_maximal(&mut common);
-                for qi in &quorums[i] {
-                    for qj in &quorums[j] {
-                        let inter = qi.intersection(qj);
-                        for fij in &common {
-                            if inter.is_subset(fij) {
-                                return Err(QuorumError::ConsistencyViolation {
-                                    i: ProcessId::new(i),
-                                    j: ProcessId::new(j),
-                                    qi: qi.clone(),
-                                    qj: qj.clone(),
-                                    fij: fij.clone(),
-                                });
-                            }
-                        }
-                    }
-                }
-            }
+        let universe = Universe::new(self.check_universe(fps)?);
+        let trust = distinct(self.systems.iter().zip(&fps.systems));
+        for (&a, &b) in pairs(&trust) {
+            universe.consistency(a, b)?;
         }
         Ok(())
     }
@@ -355,38 +266,27 @@ impl AsymQuorumSystem {
     /// Checks asymmetric quorum **availability** (Definition 2.1):
     /// `∀i, ∀F_i ∈ F_i: ∃Q_i ∈ Q_i: F_i ∩ Q_i = ∅`.
     ///
+    /// For a threshold or slice-threshold `(T_i, q_i)` and `(S_i, f_i)` this
+    /// holds iff `q_i ≤ |T_i ∩ S_i| − min(f_i, |T_i ∩ S_i|)`; an explicit side
+    /// enumerates.
+    ///
     /// # Errors
     ///
     /// Returns the first process/fail-prone set with no disjoint quorum.
     pub fn check_availability(&self, fps: &AsymFailProneSystem) -> Result<(), QuorumError> {
-        let n = self.n();
-        if n != fps.n() {
-            return Err(QuorumError::MismatchedUniverse { expected: fps.n(), got: n });
+        let universe = Universe::new(self.check_universe(fps)?);
+        distinct(self.systems.iter().zip(&fps.systems))
+            .into_iter()
+            .try_for_each(|process| universe.availability(process))
+    }
+
+    /// Returns `n` if `fps` has the same universe.
+    fn check_universe(&self, fps: &AsymFailProneSystem) -> Result<usize, QuorumError> {
+        if self.n() == fps.n() {
+            Ok(self.n())
+        } else {
+            Err(QuorumError::MismatchedUniverse { expected: fps.n(), got: self.n() })
         }
-        for i in 0..n {
-            match (&self.systems[i], &fps.systems[i]) {
-                (QuorumSystem::Threshold { q, .. }, FailProneSystem::Threshold { f, .. }) => {
-                    if q + f > n {
-                        return Err(QuorumError::AvailabilityViolation {
-                            process: ProcessId::new(i),
-                            fail_prone: ProcessSet::from_indices(0..*f),
-                        });
-                    }
-                }
-                _ => {
-                    let quorums = self.systems[i].minimal_quorums();
-                    for fset in fps.systems[i].maximal_sets() {
-                        if !quorums.iter().any(|q| q.is_disjoint(&fset)) {
-                            return Err(QuorumError::AvailabilityViolation {
-                                process: ProcessId::new(i),
-                                fail_prone: fset,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Validates both defining properties against `fps`.
@@ -531,10 +431,19 @@ mod tests {
     }
 
     #[test]
-    fn uniform_threshold_consistency_fast_path() {
+    fn uniform_threshold_validates_by_counting() {
         let fps = AsymFailProneSystem::uniform(FailProneSystem::threshold(31, 10));
         let qs = fps.canonical_quorums();
-        // Large n: must finish fast (fast path, no enumeration).
+        // C(31, 10) maximal sets: only counting finishes.
         assert!(qs.validate(&fps).is_ok());
+        // One quorum too small: two quorums of 20 share only 9 ≤ f members.
+        let small = AsymQuorumSystem::uniform(QuorumSystem::threshold(31, 20));
+        let Err(QuorumError::ConsistencyViolation { qi, qj, fij, .. }) =
+            small.check_consistency(&fps)
+        else {
+            panic!("20-quorums of 31 are inconsistent with f = 10");
+        };
+        assert_eq!((qi.len(), qj.len(), fij.len()), (20, 20, 9));
+        assert_eq!(qi.intersection(&qj), fij);
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! Threshold fail-prone systems are *implicitly* all `f`-subsets of `P`;
 //! explicit enumeration is exponential and only ever done for small systems
-//! (tests, figure regeneration, minimal-kernel inspection). The iterators here
-//! are lazy so callers can bound the work.
+//! (tests, figure regeneration, minimal-kernel inspection, and validating a
+//! pair of systems with an explicit side). The iterators here are lazy so
+//! callers can bound the work.
 
 use crate::{ProcessId, ProcessSet};
 

@@ -12,8 +12,9 @@
 //!   threshold, explicit, and slice-threshold (UNL-style) representations;
 //! * [`AsymFailProneSystem`] / [`AsymQuorumSystem`] — the per-process arrays
 //!   of Definition 2.1, with the **B³ condition** (Definition 2.3),
-//!   consistency/availability validation and canonical-quorum construction
-//!   (Theorem 2.4);
+//!   consistency/availability validation (decided per pair of distinct
+//!   systems by counting, enumerating only explicit systems) and
+//!   canonical-quorum construction (Theorem 2.4);
 //! * [`maximal_guild`] and process classification ([`ProcessClass`]) —
 //!   wise/naive/faulty processes and guilds (Definition 2.2);
 //! * [`counterexample`] — the paper's 30-process Figure-1 system on which the
@@ -50,6 +51,7 @@ mod pid;
 mod set;
 mod symmetric;
 pub mod topology;
+mod validation;
 
 pub use asymmetric::{AsymFailProneSystem, AsymQuorumSystem};
 pub use error::QuorumError;

@@ -282,6 +282,22 @@ impl ProcessSet {
     }
 }
 
+/// Counts the processes below `n` in the set that `combine` builds, word by
+/// word, from `sets` — `|A ∩ B ∖ C|` and the like, without allocating it.
+pub(crate) fn count_members<const K: usize>(
+    n: usize,
+    sets: [&ProcessSet; K],
+    combine: impl Fn([u64; K]) -> u64,
+) -> usize {
+    (0..n.div_ceil(BITS))
+        .map(|b| {
+            let word = combine(sets.map(|s| s.blocks.get(b).copied().unwrap_or(0)));
+            let below_n = if n - b * BITS >= BITS { u64::MAX } else { (1 << (n % BITS)) - 1 };
+            (word & below_n).count_ones() as usize
+        })
+        .sum()
+}
+
 /// Iterator over the members of a [`ProcessSet`] in ascending order.
 #[derive(Clone)]
 pub struct Iter<'a> {

@@ -11,6 +11,8 @@
 //! minimal quorums.
 
 use crate::combinatorics::{combinations, minimal_hitting_sets, retain_maximal, retain_minimal};
+use crate::set::count_members;
+use crate::validation::Universe;
 use crate::{ProcessSet, QuorumError};
 
 /// A symmetric fail-prone system: the collection of sets of processes that may
@@ -136,9 +138,11 @@ impl FailProneSystem {
 
     /// Returns the maximal fail-prone sets.
     ///
-    /// For threshold systems this *enumerates* all `C(n, f)` subsets — only
-    /// call it on small systems (figure regeneration, tests). All validation
-    /// fast-paths avoid this enumeration.
+    /// For threshold and slice-threshold systems this *enumerates* all
+    /// `C(|S|, f)` subsets — only call it on small systems (figure
+    /// regeneration, tests). Validation calls it only for a pair of systems
+    /// with an `Explicit` side; every other pair is decided by counting
+    /// members of the slices.
     pub fn maximal_sets(&self) -> Vec<ProcessSet> {
         match self {
             FailProneSystem::Threshold { n, f } => {
@@ -360,16 +364,13 @@ impl QuorumSystem {
     /// This is the protocols' round-advancement test `∃Q ∈ Q_i: Q ⊆ observed`.
     pub fn contains_quorum(&self, observed: &ProcessSet) -> bool {
         match self {
-            QuorumSystem::Threshold { n, q } => {
-                // Only members of the universe count.
-                let within = observed.intersection(&ProcessSet::full(*n));
-                within.len() >= *q
-            }
+            // Only members of the universe count.
+            QuorumSystem::Threshold { n, q } => count_members(*n, [observed], |[o]| o) >= *q,
             QuorumSystem::Explicit { quorums, .. } => {
                 quorums.iter().any(|qs| qs.is_subset(observed))
             }
-            QuorumSystem::SliceThreshold { slice, q, .. } => {
-                observed.intersection(slice).len() >= *q
+            QuorumSystem::SliceThreshold { n, slice, q } => {
+                count_members(*n, [observed, slice], |[o, s]| o & s) >= *q
             }
         }
     }
@@ -377,25 +378,15 @@ impl QuorumSystem {
     /// Returns some quorum contained in `observed`, if any.
     pub fn find_quorum(&self, observed: &ProcessSet) -> Option<ProcessSet> {
         match self {
-            QuorumSystem::Threshold { n, q } => {
-                let within = observed.intersection(&ProcessSet::full(*n));
-                if within.len() >= *q {
-                    Some(within.iter().take(*q).collect())
-                } else {
-                    None
-                }
-            }
+            QuorumSystem::Threshold { n, q } => self
+                .contains_quorum(observed)
+                .then(|| observed.iter().filter(|p| p.index() < *n).take(*q).collect()),
             QuorumSystem::Explicit { quorums, .. } => {
                 quorums.iter().find(|qs| qs.is_subset(observed)).cloned()
             }
-            QuorumSystem::SliceThreshold { slice, q, .. } => {
-                let within = observed.intersection(slice);
-                if within.len() >= *q {
-                    Some(within.iter().take(*q).collect())
-                } else {
-                    None
-                }
-            }
+            QuorumSystem::SliceThreshold { slice, q, .. } => self
+                .contains_quorum(observed)
+                .then(|| observed.iter().filter(|p| slice.contains(*p)).take(*q).collect()),
         }
     }
 
@@ -403,23 +394,21 @@ impl QuorumSystem {
     /// kernel (the protocols' amplification test `∃K ∈ K_i: K ⊆ observed`).
     pub fn is_kernel(&self, observed: &ProcessSet) -> bool {
         match self {
-            QuorumSystem::Threshold { n, q } => {
-                let within = observed.intersection(&ProcessSet::full(*n));
-                within.len() > n - q
-            }
+            QuorumSystem::Threshold { n, q } => count_members(*n, [observed], |[o]| o) > n - q,
             QuorumSystem::Explicit { quorums, .. } => {
                 quorums.iter().all(|qs| qs.intersects(observed))
             }
-            QuorumSystem::SliceThreshold { slice, q, .. } => {
-                observed.intersection(slice).len() > slice.len() - q
+            QuorumSystem::SliceThreshold { n, slice, q } => {
+                count_members(*n, [observed, slice], |[o, s]| o & s) > slice.len() - q
             }
         }
     }
 
     /// Enumerates the minimal quorums.
     ///
-    /// For threshold systems this enumerates `C(n, q)` sets — only call it on
-    /// small systems.
+    /// For threshold and slice-threshold systems this enumerates `C(|T|, q)`
+    /// sets — only call it on small systems. Validation calls it only for a
+    /// pair of systems with an `Explicit` side.
     pub fn minimal_quorums(&self) -> Vec<ProcessSet> {
         match self {
             QuorumSystem::Threshold { n, q } => combinations(&ProcessSet::full(*n), *q).collect(),
@@ -449,50 +438,16 @@ impl QuorumSystem {
     /// quorums intersect in at least one process outside every common
     /// fail-prone set.
     ///
+    /// This is the pair `i = j` of
+    /// [`AsymQuorumSystem::check_consistency`](crate::AsymQuorumSystem::check_consistency):
+    /// decided by counting unless a side is `Explicit`.
+    ///
     /// # Errors
     ///
     /// Returns the violating pair and fail-prone set on failure.
     pub fn check_consistency(&self, fps: &FailProneSystem) -> Result<(), QuorumError> {
-        match (self, fps) {
-            (QuorumSystem::Threshold { n, q }, FailProneSystem::Threshold { f, .. }) => {
-                // |Q1 ∩ Q2| ≥ 2q − n must exceed f.
-                if 2 * q > n + f {
-                    Ok(())
-                } else {
-                    let qi = ProcessSet::from_indices(0..*q);
-                    let qj = ProcessSet::from_indices(n - q..*n);
-                    let fij: ProcessSet = qi.intersection(&qj).iter().take(*f).collect();
-                    Err(QuorumError::ConsistencyViolation {
-                        i: crate::ProcessId::new(0),
-                        j: crate::ProcessId::new(0),
-                        qi,
-                        qj,
-                        fij,
-                    })
-                }
-            }
-            _ => {
-                let quorums = self.minimal_quorums();
-                let fail_sets = fps.maximal_sets();
-                for qi in &quorums {
-                    for qj in &quorums {
-                        let inter = qi.intersection(qj);
-                        for fij in &fail_sets {
-                            if inter.is_subset(fij) {
-                                return Err(QuorumError::ConsistencyViolation {
-                                    i: crate::ProcessId::new(0),
-                                    j: crate::ProcessId::new(0),
-                                    qi: qi.clone(),
-                                    qj: qj.clone(),
-                                    fij: fij.clone(),
-                                });
-                            }
-                        }
-                    }
-                }
-                Ok(())
-            }
-        }
+        let p0 = (crate::ProcessId::new(0), (self, fps));
+        Universe::new(self.n()).consistency(p0, p0)
     }
 
     /// Checks quorum **availability** against a fail-prone system: for every
@@ -502,30 +457,7 @@ impl QuorumSystem {
     ///
     /// Returns the fail-prone set no quorum avoids on failure.
     pub fn check_availability(&self, fps: &FailProneSystem) -> Result<(), QuorumError> {
-        match (self, fps) {
-            (QuorumSystem::Threshold { n, q }, FailProneSystem::Threshold { f, .. }) => {
-                if q + f <= *n {
-                    Ok(())
-                } else {
-                    Err(QuorumError::AvailabilityViolation {
-                        process: crate::ProcessId::new(0),
-                        fail_prone: ProcessSet::from_indices(0..*f),
-                    })
-                }
-            }
-            _ => {
-                let quorums = self.minimal_quorums();
-                for fset in fps.maximal_sets() {
-                    if !quorums.iter().any(|q| q.is_disjoint(&fset)) {
-                        return Err(QuorumError::AvailabilityViolation {
-                            process: crate::ProcessId::new(0),
-                            fail_prone: fset,
-                        });
-                    }
-                }
-                Ok(())
-            }
-        }
+        Universe::new(self.n()).availability((crate::ProcessId::new(0), (self, fps)))
     }
 }
 

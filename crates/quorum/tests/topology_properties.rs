@@ -6,10 +6,11 @@
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{RngExt, SeedableRng};
 
 use asym_quorum::topology::{self, TopologySpec};
-use asym_quorum::{maximal_guild, ProcessSet};
+use asym_quorum::{maximal_guild, AsymFailProneSystem, FailProneSystem, ProcessId, ProcessSet};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -21,13 +22,13 @@ proptest! {
     fn random_slices_satisfy_consistency_precondition(
         n in 4usize..10,
         extra in 0usize..3,
+        f in 1usize..=3,
         seed in 0u64..5000,
     ) {
-        // Keep the slice large relative to n so B³ systems exist to be found;
-        // f = 1 keeps the subset checks cheap.
+        // Keep the slice large relative to n so B³ systems exist to be found.
         let slice = (3 * n).div_ceil(4) + extra;
-        prop_assume!(slice <= n);
-        let Some(t) = topology::random_slices(n, slice, 1, seed, 50) else {
+        prop_assume!(slice <= n && f < slice);
+        let Some(t) = topology::random_slices(n, slice, f, seed, 50) else {
             // No B³ system within the attempt budget is a legal outcome.
             return Ok(());
         };
@@ -35,6 +36,31 @@ proptest! {
         prop_assert!(t.quorums.check_consistency(&t.fail_prone).is_ok(), "{}", t.name);
         prop_assert!(t.quorums.check_availability(&t.fail_prone).is_ok(), "{}", t.name);
         prop_assert_eq!(t.n(), n);
+    }
+
+    /// Theorem 2.4 at scale: a random slice system satisfies B³ iff its
+    /// canonical quorums are consistent and available.
+    #[test]
+    fn b3_iff_canonical_quorums_validate_at_scale(
+        n in 16usize..=64,
+        f in 1usize..=3,
+        seed in 0u64..5000,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        // Slices between about half and all of P: B³ both holds and fails.
+        let systems = (0..n)
+            .map(|i| {
+                let size = rng.random_range(n / 2..=n).max(f + 1);
+                let mut others: Vec<usize> = (0..n).filter(|j| *j != i).collect();
+                others.shuffle(&mut rng);
+                let mut slice: ProcessSet = others.into_iter().take(size - 1).collect();
+                slice.insert(ProcessId::new(i));
+                FailProneSystem::slice_threshold(n, slice, f)
+            })
+            .collect();
+        let fps = AsymFailProneSystem::new(systems).expect("one slice per process");
+        let valid = fps.canonical_quorums().validate(&fps);
+        prop_assert_eq!(fps.satisfies_b3(), valid.is_ok(), "{:?}", valid);
     }
 
     /// Same seed ⇒ identical topology, bit for bit; and the `TopologySpec`
@@ -92,5 +118,20 @@ proptest! {
         };
         let guild = maximal_guild(&t.fail_prone, &t.quorums, &ProcessSet::new());
         prop_assert_eq!(guild, Some(ProcessSet::full(n)));
+    }
+}
+
+/// Validation counts instead of enumerating, so systems far beyond
+/// enumeration (`C(64, 21)` maximal sets per process) validate at once.
+#[test]
+fn large_topologies_validate() {
+    for t in [
+        topology::ripple_unl(20, 16, 3),
+        topology::ripple_unl(64, 52, 8),
+        topology::stellar_tiers(64, 10, 3),
+        topology::uniform_threshold(64, 21),
+    ] {
+        assert!(t.fail_prone.satisfies_b3(), "{}: {:?}", t.name, t.fail_prone.b3_violation());
+        assert_eq!(t.quorums.validate(&t.fail_prone), Ok(()), "{}", t.name);
     }
 }
