@@ -1,6 +1,7 @@
-//! LAT-G: cost of the gather protocols — the symmetric 3-round gather
-//! (Algorithm 1) vs. the constant-round asymmetric gather (Algorithm 3),
-//! which pays the ACK/READY/CONFIRM control layer for asymmetric soundness.
+//! LAT-G: cost of the gather protocols — the 3-round quorum-replacement
+//! gather (on a threshold system both Algorithm 1 and Algorithm 2) vs. the
+//! constant-round asymmetric gather (Algorithm 3), which pays the
+//! ACK/READY/CONFIRM control layer for asymmetric soundness.
 //!
 //! Criterion reports wall time per full protocol execution (all processes to
 //! `ag-deliver`, simulation to quiescence); message counts are reported by
@@ -10,14 +11,20 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use asym_dag_rider::prelude::*;
-use asym_gather::{AsymGather, NaiveGather, SymGather};
+use asym_gather::{AsymGather, NaiveGather};
 
 fn pid(i: usize) -> ProcessId {
     ProcessId::new(i)
 }
 
-fn run_sym(n: usize, f: usize, seed: u64) -> u64 {
-    let procs: Vec<SymGather<u64>> = (0..n).map(|i| SymGather::new(pid(i), n, f)).collect();
+/// Runs one gather execution to quiescence, process `i` proposing `i`;
+/// returns the delivery steps.
+fn run<P>(procs: Vec<P>, seed: u64) -> u64
+where
+    P: asym_sim::Protocol<Input = u64>,
+    P::Msg: Clone + core::fmt::Debug + 'static,
+{
+    let n = procs.len();
     let mut sim = Simulation::new(procs, scheduler::Random::new(seed));
     for i in 0..n {
         sim.input(pid(i), i as u64);
@@ -28,36 +35,17 @@ fn run_sym(n: usize, f: usize, seed: u64) -> u64 {
 }
 
 fn run_asym(t: &topology::Topology, seed: u64) -> u64 {
-    let procs: Vec<AsymGather<u64>> =
-        (0..t.n()).map(|i| AsymGather::new(pid(i), t.quorums.clone())).collect();
-    let mut sim = Simulation::new(procs, scheduler::Random::new(seed));
-    for i in 0..t.n() {
-        sim.input(pid(i), i as u64);
-    }
-    let r = sim.run(u64::MAX);
-    assert!(r.quiescent);
-    r.steps
+    run((0..t.n()).map(|i| AsymGather::<u64>::new(pid(i), t.quorums.clone())).collect(), seed)
 }
 
 fn run_naive(t: &topology::Topology, seed: u64) -> u64 {
-    let procs: Vec<NaiveGather<u64>> =
-        (0..t.n()).map(|i| NaiveGather::new(pid(i), t.quorums.clone(), 3)).collect();
-    let mut sim = Simulation::new(procs, scheduler::Random::new(seed));
-    for i in 0..t.n() {
-        sim.input(pid(i), i as u64);
-    }
-    let r = sim.run(u64::MAX);
-    assert!(r.quiescent);
-    r.steps
+    run((0..t.n()).map(|i| NaiveGather::<u64>::new(pid(i), t.quorums.clone(), 3)).collect(), seed)
 }
 
 fn bench_gather_protocols(c: &mut Criterion) {
     let mut g = c.benchmark_group("gather-full-run");
     g.sample_size(10);
     for (n, f) in [(4usize, 1usize), (7, 2), (10, 3)] {
-        g.bench_with_input(BenchmarkId::new("algorithm1-symmetric", n), &n, |b, _| {
-            b.iter(|| black_box(run_sym(n, f, 1)))
-        });
         let t = topology::uniform_threshold(n, f);
         g.bench_with_input(BenchmarkId::new("algorithm3-asymmetric", n), &n, |b, _| {
             b.iter(|| black_box(run_asym(&t, 1)))

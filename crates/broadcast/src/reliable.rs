@@ -12,9 +12,10 @@
 //! * *echo after the sender's SEND*, *ready after ECHO from a quorum* as in
 //!   Bracha.
 //!
-//! With a uniform threshold quorum system this *is* Bracha broadcast — the
-//! symmetric baseline and the asymmetric protocol share this implementation,
-//! which the unit tests exploit.
+//! With a uniform threshold quorum system (quorums are the `n − f`-sets,
+//! kernels the `f + 1`-sets) this *is* Bracha broadcast, so there is no
+//! separate symmetric version: the symmetric baseline, Algorithm 1 and the
+//! asymmetric protocols all run this hub, and the unit tests exploit that.
 //!
 //! A [`BroadcastHub`] multiplexes any number of instances, keyed by
 //! `(origin, tag)`; one process broadcasts at most one value per tag (in the
@@ -164,16 +165,14 @@ impl<T: Clone + Eq + core::fmt::Debug> BroadcastHub<T> {
         BroadcastHub { me, quorums, instances: HashMap::new(), originated: Default::default() }
     }
 
-    /// Creates a hub using the classic symmetric threshold system
-    /// (`n−f`-quorums): plain Bracha broadcast.
-    pub fn symmetric(me: ProcessId, n: usize, f: usize) -> Self {
-        let qs = AsymQuorumSystem::uniform(asym_quorum::QuorumSystem::threshold(n, n - f));
-        BroadcastHub::new(me, qs)
-    }
-
     /// This process's identity.
     pub fn id(&self) -> ProcessId {
         self.me
+    }
+
+    /// The quorum system this hub counts ECHOs and READYs against.
+    pub fn quorums(&self) -> &AsymQuorumSystem {
+        &self.quorums
     }
 
     /// Starts broadcasting `value` under `tag`; returns the messages to send

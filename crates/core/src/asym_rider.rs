@@ -134,7 +134,6 @@ impl WaveControl {
 #[derive(Clone, Debug)]
 pub struct AsymDagRider {
     core: DagCore,
-    quorums: AsymQuorumSystem,
     committer: WaveCommitter,
     coin: CommonCoin,
     control: HashMap<WaveId, WaveControl>,
@@ -158,8 +157,7 @@ impl AsymDagRider {
     ) -> Self {
         let n = quorums.n();
         AsymDagRider {
-            core: DagCore::new(me, quorums.clone(), config),
-            quorums,
+            core: DagCore::new(me, quorums, config),
             committer: WaveCommitter::new(),
             coin: CommonCoin::new(coin_seed, n),
             control: HashMap::new(),
@@ -193,7 +191,7 @@ impl AsymDagRider {
     /// Propagates [`StorageError`] from the log (corruption, I/O).
     pub fn replay_storage(&self) -> Option<Result<RecoveredState<Block>, StorageError>> {
         let log = self.core.log()?;
-        Some(log.replay(self.quorums.n(), self.core.me(), Block::default()))
+        Some(log.replay(self.core.quorums().n(), self.core.me(), Block::default()))
     }
 
     /// `true` once this process has restarted from its log.
@@ -252,7 +250,7 @@ impl AsymDagRider {
         if w <= self.committer.decided_wave() {
             return;
         }
-        let quorums = &self.quorums;
+        let quorums = self.core.quorums();
         let mut out = Vec::new();
         let commits_before = self.committer.log().len();
         let outcome = self.committer.wave_ready(
@@ -293,7 +291,7 @@ impl AsymDagRider {
             // a process resuming above a delivered-state install floor can
             // still assemble its round quorum out of the gc'd prefix.
             let sources = self.core.dag().sources_in_round_or_pruned(cur);
-            if !self.quorums.contains_quorum_for(self.core.me(), &sources) {
+            if !self.core.quorums().contains_quorum_for(self.core.me(), &sources) {
                 break;
             }
             // Lines 109–116: leaving round 2 of a wave additionally requires
@@ -316,26 +314,26 @@ impl AsymDagRider {
 
     /// Runs the ACK → READY → CONFIRM ladder of Algorithm 5 for `wave`.
     fn control_step(&mut self, wave: WaveId, ctx: &mut Context<'_, AsymRiderMsg, OrderedVertex>) {
-        let me = self.core.me();
+        let (me, quorums) = (self.core.me(), self.core.quorums());
         let ctrl = self.control.entry(wave).or_default();
 
         // Line 123: READY after ACKs from one of my quorums.
-        if !ctrl.sent_ready && self.quorums.contains_quorum_for(me, &ctrl.acks) {
+        if !ctrl.sent_ready && quorums.contains_quorum_for(me, &ctrl.acks) {
             ctrl.sent_ready = true;
             ctx.broadcast(AsymRiderMsg::Ready { wave });
         }
         // Line 127: CONFIRM after READYs from one of my quorums.
-        if !ctrl.sent_confirm && self.quorums.contains_quorum_for(me, &ctrl.readys) {
+        if !ctrl.sent_confirm && quorums.contains_quorum_for(me, &ctrl.readys) {
             ctrl.sent_confirm = true;
             ctx.broadcast(AsymRiderMsg::Confirm { wave });
         }
         // Line 131: CONFIRM after CONFIRMs from one of my kernels.
-        if !ctrl.sent_confirm && self.quorums.hits_kernel_for(me, &ctrl.confirms) {
+        if !ctrl.sent_confirm && quorums.hits_kernel_for(me, &ctrl.confirms) {
             ctrl.sent_confirm = true;
             ctx.broadcast(AsymRiderMsg::Confirm { wave });
         }
         // Line 135: tReady after CONFIRMs from one of my quorums.
-        let became_ready = !ctrl.t_ready && self.quorums.contains_quorum_for(me, &ctrl.confirms);
+        let became_ready = !ctrl.t_ready && quorums.contains_quorum_for(me, &ctrl.confirms);
         if became_ready {
             ctrl.t_ready = true;
             if let Some(log) = self.core.log_mut() {
@@ -395,7 +393,7 @@ impl AsymDagRider {
             return; // no persistence layer: resume with in-memory state
         };
         let (me, config) = (self.core.me(), self.core.config());
-        let restart = catchup::restart_from_log(log, &self.quorums, me, config);
+        let restart = catchup::restart_from_log(log, self.core.quorums(), me, config);
         // Nothing survives from the pre-crash in-memory state.
         self.core = restart.core;
         self.committer = restart.committer;
@@ -510,12 +508,7 @@ impl Protocol for AsymDagRider {
     ) {
         match msg {
             AsymRiderMsg::Arb(inner) => {
-                // Line 140: accept a vertex only if its strong edges contain
-                // a quorum of some process's quorum system.
-                let quorums = &self.quorums;
-                let (out, fresh) = self.core.handle_arb(from, inner, |v| {
-                    quorums.contains_quorum_for_any(v.strong_edges()).is_some()
-                });
+                let (out, fresh) = self.core.handle_arb(from, inner);
                 for m in out {
                     ctx.broadcast(AsymRiderMsg::Arb(m));
                 }
@@ -549,7 +542,7 @@ impl Protocol for AsymDagRider {
                 }
             }
             AsymRiderMsg::FetchReply { vertices, confirmed } => {
-                for v in self.catchup.on_fetch_reply(from, vertices, &self.core, &self.quorums) {
+                for v in self.catchup.on_fetch_reply(from, vertices, &self.core) {
                     self.core.accept_fetched(v);
                 }
                 for wave in confirmed {
@@ -573,7 +566,7 @@ impl Protocol for AsymDagRider {
             }
             AsymRiderMsg::StateChunk { segments } => {
                 let decided = self.committer.decided_wave();
-                let (coin, quorums, me) = (&self.coin, &self.quorums, self.core.me());
+                let (coin, quorums, me) = (&self.coin, self.core.quorums(), self.core.me());
                 let ready = self.catchup.on_state_chunk(from, segments, decided, coin, quorums, me);
                 self.install(ready, ctx);
             }

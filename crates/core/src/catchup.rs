@@ -198,7 +198,6 @@ impl CatchUp {
         from: ProcessId,
         vertices: Vec<Vertex<Block>>,
         core: &DagCore,
-        quorums: &AsymQuorumSystem,
     ) -> Vec<Vertex<Block>> {
         let me = core.me();
         let mut accepted: Vec<Vertex<Block>> = Vec::new();
@@ -208,13 +207,13 @@ impl CatchUp {
                 || v.source() == me
                 || core.knows(id)
                 || accepted.iter().any(|a| a.id() == id)
-                || quorums.contains_quorum_for_any(v.strong_edges()).is_none()
+                || !core.is_valid(&v)
                 || !self.fetched.vote(id, from, v)
             {
                 continue;
             }
             self.fetch_progress = true;
-            accepted.extend(self.fetched.take_ready(id..=id, quorums, me, |_| true));
+            accepted.extend(self.fetched.take_ready(id..=id, core.quorums(), me, |_| true));
         }
         accepted
     }

@@ -19,8 +19,8 @@ pub type DagLog = EventLog<Block, StorageBackend>;
 
 /// The DAG-construction engine of one process: owns the local DAG, the
 /// arb hub for vertex dissemination, the insertion buffer and the block
-/// queue. The protocol variants supply the validation and round-advance
-/// rules.
+/// queue. It admits only [valid](DagCore::is_valid) vertices; the protocol
+/// variants supply the round-advance and commit rules.
 #[derive(Clone, Debug)]
 pub struct DagCore {
     me: ProcessId,
@@ -117,6 +117,18 @@ impl DagCore {
         &mut self.metrics
     }
 
+    /// The quorum system of every process, shared with the arb hub.
+    pub fn quorums(&self) -> &AsymQuorumSystem {
+        self.hub.quorums()
+    }
+
+    /// Algorithm 6, line 140: a vertex is valid if its strong edges contain
+    /// a quorum of *some* process. Applied to arb deliveries and to fetched
+    /// vertices alike.
+    pub fn is_valid(&self, v: &Vertex<Block>) -> bool {
+        self.quorums().contains_quorum_for_any(v.strong_edges()).is_some()
+    }
+
     /// The configured limits.
     pub fn config(&self) -> RiderConfig {
         self.config
@@ -127,15 +139,13 @@ impl DagCore {
         self.blocks.push_back(block);
     }
 
-    /// Handles an arb-layer message carrying vertices. Valid deliveries are
-    /// buffered; `validate` is the variant-specific strong-edge rule
-    /// (Algorithm 6, line 140). Returns the arb messages to broadcast and
-    /// the vertices delivered in this step (already buffered).
+    /// Handles an arb-layer message carrying vertices. [Valid](Self::is_valid)
+    /// deliveries are buffered. Returns the arb messages to broadcast and the
+    /// vertices delivered in this step (already buffered).
     pub fn handle_arb(
         &mut self,
         from: ProcessId,
         msg: BcastMsg<Vertex<Block>>,
-        validate: impl Fn(&Vertex<Block>) -> bool,
     ) -> (Vec<BcastMsg<Vertex<Block>>>, Vec<VertexId>) {
         let (out, deliveries) = self.hub.on_message(from, msg);
         let mut fresh = Vec::new();
@@ -149,7 +159,7 @@ impl DagCore {
             if v.round() == 0 {
                 continue; // genesis is hard-coded, never broadcast
             }
-            if !validate(&v) {
+            if !self.is_valid(&v) {
                 continue;
             }
             fresh.push(v.id());
@@ -416,7 +426,7 @@ mod tests {
         // responses as if the other three processes behaved identically).
         let mut fresh = Vec::new();
         while let Some((from, m)) = inflight.pop() {
-            let (out, f) = a.handle_arb(from, m, |_| true);
+            let (out, f) = a.handle_arb(from, m);
             fresh.extend(f);
             for m in out {
                 // Simulate the other 3 processes sending the same message.
@@ -451,7 +461,7 @@ mod tests {
         let mut fresh_total = 0;
         for m in &msgs {
             for s in 0..4 {
-                let (_, fresh) = a.handle_arb(pid(s), m.clone(), |_| true);
+                let (_, fresh) = a.handle_arb(pid(s), m.clone());
                 fresh_total += fresh.len();
             }
         }

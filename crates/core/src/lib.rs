@@ -4,15 +4,16 @@
 //! (Amores-Sesar, Cachin, Villacis, Zanolini; PODC 2025).
 //!
 //! * [`DagRider`] — the symmetric baseline (Keidar et al.): `n − f` round
-//!   advancement, `n − f` commit rule;
+//!   advancement, `n − f` commit rule — the asymmetric rules on the uniform
+//!   threshold system, without the control ladder;
 //! * [`AsymDagRider`] — Algorithms 4–6: quorum-based round advancement, the
 //!   per-wave ACK/READY/CONFIRM control ladder that turns every wave into an
 //!   execution of the constant-round asymmetric gather, and the
 //!   any-process-quorum commit rule. Commits are expected every
 //!   `|P| / c(Q)` waves (Lemma 4.4);
-//! * shared substrate: [`DagCore`] (vertex lifecycle), [`WaveCommitter`]
-//!   (leader-stack ordering), [`Block`] / [`OrderedVertex`] /
-//!   [`RiderConfig`] / [`RiderMetrics`];
+//! * shared substrate: [`DagCore`] (vertex lifecycle and validity),
+//!   [`WaveCommitter`] (leader-stack ordering), [`Block`] /
+//!   [`OrderedVertex`] / [`RiderConfig`] / [`RiderMetrics`];
 //! * crash recovery: [`AsymDagRider::with_storage`] attaches a [`DagLog`]
 //!   (an `asym-storage` write-ahead log). After a
 //!   [`FaultMode::RestartAfter`](asym_sim::FaultMode::RestartAfter) window

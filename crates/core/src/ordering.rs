@@ -152,8 +152,8 @@ impl WaveCommitter {
     /// the commit rule, and on success walks the leader stack back to the
     /// last decided wave and delivers causal histories in deterministic
     /// order. The commit rule asks `is_quorum` whether the round-4 sources
-    /// with a strong path to the leader suffice — the only point where the
-    /// two protocol variants differ.
+    /// with a strong path to the leader suffice; both protocol variants ask
+    /// their quorum system, and tests pass constants to force an outcome.
     pub fn wave_ready(
         &mut self,
         dag: &DagStore<Block>,

@@ -6,6 +6,13 @@
 //! commits when `n − f` round-4 vertices reach it by strong paths. Committed
 //! leaders atomically deliver their causal history in a deterministic order.
 //!
+//! A threshold is the uniform asymmetric quorum system whose quorums are the
+//! `n − f`-sets, so the baseline runs on
+//! [`AsymDagRider`](crate::AsymDagRider)'s quorum predicates: the same
+//! vertex-validity rule (in [`DagCore`]), round-advance rule and commit rule.
+//! It differs only in lacking the ACK/READY/CONFIRM ladder that gates the
+//! asymmetric protocol's move from round 2 to round 3.
+//!
 //! The baseline speaks the asymmetric protocol's wire type, so one
 //! simulation can host either protocol (and the same Byzantine parties),
 //! but it only ever sends [`AsymRiderMsg::Arb`]: ordering is zero-message,
@@ -31,8 +38,6 @@ pub struct DagRider {
     core: DagCore,
     committer: WaveCommitter,
     coin: CommonCoin,
-    /// `n − f`: the round-advance and commit threshold.
-    quota: usize,
 }
 
 impl DagRider {
@@ -49,7 +54,6 @@ impl DagRider {
             core: DagCore::new(me, quorums, config),
             committer: WaveCommitter::new(),
             coin: CommonCoin::new(coin_seed, n),
-            quota: n - f,
         }
     }
 
@@ -79,19 +83,19 @@ impl DagRider {
         &self.committer
     }
 
-    /// Runs `waveReady(w)` with the DAG-Rider commit rule: `n − f` round-4
-    /// vertices with strong paths to the leader.
+    /// Runs `waveReady(w)` with the DAG-Rider commit rule: a quorum
+    /// (`n − f`) of round-4 vertices with strong paths to the leader.
     fn wave_ready(&mut self, w: WaveId, ctx: &mut Context<'_, AsymRiderMsg, OrderedVertex>) {
         if w <= self.committer.decided_wave() {
             return;
         }
-        let quota = self.quota;
+        let quorums = self.core.quorums();
         let mut out = Vec::new();
         let outcome = self.committer.wave_ready(
             self.core.dag(),
             &self.coin,
             w,
-            |supporters| supporters.len() >= quota,
+            |supporters| quorums.contains_quorum_for_any(supporters).is_some(),
             &mut out,
         );
         self.core.metrics_mut().count_wave(outcome);
@@ -105,7 +109,8 @@ impl DagRider {
             if cur >= self.core.config().max_round() {
                 break;
             }
-            if self.core.dag().sources_in_round(cur).len() < self.quota {
+            let sources = self.core.dag().sources_in_round(cur);
+            if !self.core.quorums().contains_quorum_for(self.core.me(), &sources) {
                 break;
             }
             if cur > 0 && cur.is_multiple_of(4) {
@@ -139,8 +144,7 @@ impl Protocol for DagRider {
         ctx: &mut Context<'_, Self::Msg, Self::Output>,
     ) {
         let AsymRiderMsg::Arb(inner) = msg else { return };
-        let quota = self.quota;
-        let (out, _fresh) = self.core.handle_arb(from, inner, |v| v.strong_edges().len() >= quota);
+        let (out, _fresh) = self.core.handle_arb(from, inner);
         for m in out {
             ctx.broadcast(AsymRiderMsg::Arb(m));
         }

@@ -4,14 +4,17 @@
 //! A *gather* protocol lets every process propose a value and delivers to
 //! each process a set of `(process, value)` pairs such that a **common
 //! core** — the proposals of a full quorum — is contained in every correct
-//! output. This crate contains all three protocols the paper discusses:
+//! output. This crate contains all three protocols the paper discusses, in
+//! two implementations:
 //!
-//! * [`SymGather`] (Algorithm 1) — the classic three-round threshold gather;
-//! * [`NaiveGather`] (Algorithm 2) — the `R`-round quorum-replacement
-//!   gather, which at `R = 3` is Algorithm 2, **shown unsound** by Lemma 3.2;
-//!   [`Lemma32Scheduler`] reproduces the Appendix-A adversarial execution on
-//!   the Figure-1 system. As §3 notes, `log₂ n + 1` rounds always suffice
-//!   (Figure 1 needs 4), a latency that grows with `n`;
+//! * [`NaiveGather`] (Algorithms 1 and 2) — the `R`-round quorum-replacement
+//!   gather. At `R = 3` over a uniform threshold system (quorums are the
+//!   `n − f`-sets) it is Algorithm 1, the classic three-round threshold
+//!   gather. At `R = 3` over an asymmetric system it is Algorithm 2,
+//!   **shown unsound** by Lemma 3.2; [`Lemma32Scheduler`] reproduces the
+//!   Appendix-A adversarial execution on the Figure-1 system. As §3 notes,
+//!   `log₂ n + 1` rounds always suffice (Figure 1 needs 4), a latency that
+//!   grows with `n`;
 //! * [`AsymGather`] (Algorithm 3) — the paper's novel constant-round
 //!   asymmetric gather with the ACK/READY/CONFIRM control layer;
 //!
@@ -39,11 +42,9 @@ mod asymmetric;
 pub mod common;
 pub mod dataflow;
 mod naive;
-mod symmetric;
 
 pub use asymmetric::{AsymGather, AsymGatherConfig, AsymGatherMsg};
 pub use common::{
     check_pairwise_agreement, find_common_core, merge_pairs, pairs_subset, to_wire, ValueSet,
 };
 pub use naive::{Lemma32Scheduler, NaiveGather, NaiveGatherMsg};
-pub use symmetric::{SymGather, SymGatherMsg};

@@ -1,10 +1,17 @@
-//! **Algorithm 2** — the quorum-replacement gather attempt, which the paper
-//! proves unsound (Lemma 3.2), generalized to `R` rounds.
+//! **Algorithms 1 and 2** — the three-round gather and its quorum-replacement
+//! generalization, which the paper proves unsound (Lemma 3.2), generalized to
+//! `R` rounds.
 //!
-//! This protocol is Algorithm 1 with every `n − f` threshold replaced by
-//! "one of my quorums" and the reliable broadcast replaced by its asymmetric
-//! version — the standard heuristic that *works* for broadcast and binary
-//! consensus but fails here. With `R = 3` rounds it is exactly Algorithm 2.
+//! Algorithm 2 is Algorithm 1 (the classic threshold gather of Canetti–Rabin
+//! / Abraham et al.) with every `n − f` threshold replaced by "one of my
+//! quorums" and the reliable broadcast replaced by its asymmetric version —
+//! the standard heuristic that *works* for broadcast and binary consensus but
+//! fails here. With `R = 3` rounds it is exactly Algorithm 2. Since a
+//! threshold is the uniform system whose quorums are the `n − f`-sets,
+//! Algorithm 1 is the same protocol at `R = 3` over
+//! [`uniform_threshold`](asym_quorum::topology::uniform_threshold)`(n, f)`,
+//! where the counting argument does guarantee a common core of `n − f`
+//! values.
 //! The paper observes that quorum consistency does make the same round
 //! structure converge, just not in three rounds: with `R` rounds of "collect
 //! sets from one of my quorums, union, forward", any system with fewer than
@@ -42,7 +49,8 @@ pub enum NaiveGatherMsg<V> {
 /// One process of the `R`-round quorum-replacement gather.
 ///
 /// With `rounds == 3` this is exactly Algorithm 2 (unsound on Figure 1),
-/// kept for the negative result and the comparison experiments; with
+/// kept for the negative result and the comparison experiments, and over a
+/// uniform threshold system it is Algorithm 1; with
 /// `rounds ≥ log₂ n + 1` the quorum-consistency argument guarantees a common
 /// core at the cost of logarithmic latency.
 #[derive(Clone, Debug)]
@@ -62,7 +70,8 @@ pub struct NaiveGather<V> {
 
 impl<V: Clone + Eq + std::hash::Hash + core::fmt::Debug> NaiveGather<V> {
     /// Creates an `R`-round quorum-replacement gather process under the
-    /// given asymmetric quorum system; `rounds = 3` is Algorithm 2.
+    /// given asymmetric quorum system; `rounds = 3` is Algorithm 2, and
+    /// Algorithm 1 over a uniform threshold system.
     ///
     /// # Panics
     ///
@@ -198,11 +207,12 @@ impl<V> Scheduler<NaiveGatherMsg<V>> for Lemma32Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::check_pairwise_agreement;
     use crate::common::find_common_core;
     use crate::dataflow;
     use asym_quorum::counterexample::{fig1_quorum_of, fig1_quorums, FIG1_N};
     use asym_quorum::topology;
-    use asym_sim::{scheduler, Simulation};
+    use asym_sim::{scheduler, FaultMode, Simulation};
 
     fn pid(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -294,30 +304,85 @@ mod tests {
         let _ = NaiveGather::<u64>::new(pid(0), t.quorums, 1);
     }
 
-    #[test]
-    fn naive_gather_succeeds_on_threshold_systems() {
-        // On uniform threshold systems Algorithm 2 degenerates to Algorithm 1
-        // and does reach a common core — the failure is specific to genuinely
-        // asymmetric systems.
-        for seed in 0..5 {
-            let n = 7;
-            let t = topology::uniform_threshold(n, 2);
-            let procs: Vec<NaiveGather<u64>> =
-                (0..n).map(|i| NaiveGather::new(pid(i), t.quorums.clone(), 3)).collect();
-            let mut sim = Simulation::new(procs, scheduler::Random::new(seed));
-            for i in 0..n {
-                sim.input(pid(i), i as u64);
-            }
-            assert!(sim.run(10_000_000).quiescent);
+    /// Algorithm 1: the three-round gather over the `f`-of-`n` threshold
+    /// system, with the processes in `crashed` down from the start and every
+    /// other process `i` proposing `1000 + i`; run to quiescence.
+    fn threshold_run<S: Scheduler<NaiveGatherMsg<u64>>>(
+        n: usize,
+        f: usize,
+        scheduler: S,
+        crashed: &[usize],
+    ) -> Simulation<NaiveGather<u64>, S> {
+        let t = topology::uniform_threshold(n, f);
+        let procs = (0..n).map(|i| NaiveGather::new(pid(i), t.quorums.clone(), 3)).collect();
+        let mut sim = Simulation::new(procs, scheduler)
+            .with_faults(crashed.iter().map(|c| (pid(*c), FaultMode::CrashedFromStart)));
+        for i in (0..n).filter(|i| !crashed.contains(i)) {
+            sim.input(pid(i), 1000 + i as u64);
+        }
+        assert!(sim.run(10_000_000).quiescent, "gather must terminate");
+        sim
+    }
+
+    /// Runs the failure-free threshold gather under each seed and asserts
+    /// agreement plus a common core of exactly `n − f` values.
+    fn assert_threshold_core(n: usize, f: usize, seeds: std::ops::Range<u64>) {
+        let t = topology::uniform_threshold(n, f);
+        for seed in seeds {
+            let sim = threshold_run(n, f, scheduler::Random::new(seed), &[]);
             let outputs: Vec<ValueSet<u64>> =
                 (0..n).map(|i| sim.outputs(pid(i))[0].clone()).collect();
             let refs: Vec<(ProcessId, &ValueSet<u64>)> =
                 outputs.iter().enumerate().map(|(i, u)| (pid(i), u)).collect();
-            assert!(
-                find_common_core(&t.quorums, &ProcessSet::full(n), &refs).is_some(),
-                "seed {seed}"
-            );
+            check_pairwise_agreement(&refs).expect("agreement");
+            let core = find_common_core(&t.quorums, &ProcessSet::full(n), &refs);
+            let (_, core) = core.unwrap_or_else(|| panic!("n={n} seed {seed}: no core"));
+            assert_eq!(core.len(), n - f);
         }
+    }
+
+    #[test]
+    fn failure_free_run_has_common_core_of_size_n_minus_f() {
+        assert_threshold_core(4, 1, 0..8);
+    }
+
+    #[test]
+    fn naive_gather_succeeds_on_threshold_systems() {
+        // On uniform threshold systems Algorithm 2 is Algorithm 1 and does
+        // reach a common core of n − f values — the failure is specific to
+        // genuinely asymmetric systems.
+        assert_threshold_core(7, 2, 0..5);
+    }
+
+    #[test]
+    fn tolerates_f_crashes() {
+        for seed in 0..5 {
+            let sim = threshold_run(7, 2, scheduler::Random::new(seed), &[5, 6]);
+            for i in 0..5 {
+                let out = sim.outputs(pid(i));
+                assert_eq!(out.len(), 1, "seed {seed} process {i} must deliver");
+                assert!(out[0].len() >= 5, "output holds ≥ n−f values");
+            }
+        }
+    }
+
+    #[test]
+    fn validity_outputs_only_real_inputs() {
+        let sim = threshold_run(4, 1, scheduler::Random::new(3), &[]);
+        for i in 0..4 {
+            for (p, v) in sim.outputs(pid(i))[0].iter() {
+                assert_eq!(*v, 1000 + p.index() as u64, "value attributed to wrong origin");
+            }
+        }
+    }
+
+    #[test]
+    fn no_delivery_without_a_quorum() {
+        // With 2 of 4 processes crashed (> f = 1), no quorum of 3 survives
+        // and nobody can finish.
+        let sim = threshold_run(4, 1, scheduler::Fifo, &[2, 3]);
+        assert!(sim.outputs(pid(0)).is_empty());
+        assert!(sim.outputs(pid(1)).is_empty());
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! equivalent to the existence of an asymmetric quorum system (Theorem 2.4);
 //! [`AsymFailProneSystem::canonical_quorums`] realizes the canonical witness.
 
+use std::sync::Arc;
+
 use crate::validation::{distinct, pairs, Universe};
 use crate::{FailProneSystem, ProcessId, ProcessSet, QuorumError, QuorumSystem};
 
@@ -135,6 +137,10 @@ impl AsymFailProneSystem {
 
 /// An asymmetric Byzantine quorum system `Q = [Q_1, …, Q_n]` (Definition 2.1).
 ///
+/// The per-process systems are immutable and shared: every process, and
+/// each broadcast hub inside it, holds the whole array, and a clone only
+/// bumps a reference count.
+///
 /// # Examples
 ///
 /// ```
@@ -148,7 +154,7 @@ impl AsymFailProneSystem {
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AsymQuorumSystem {
-    systems: Vec<QuorumSystem>,
+    systems: Arc<[QuorumSystem]>,
 }
 
 impl AsymQuorumSystem {
@@ -170,14 +176,14 @@ impl AsymQuorumSystem {
         if systems.len() != n {
             return Err(QuorumError::WrongLength { expected: n, got: systems.len() });
         }
-        Ok(AsymQuorumSystem { systems })
+        Ok(AsymQuorumSystem { systems: systems.into() })
     }
 
     /// Creates the asymmetric system in which every process uses the same
     /// quorum system — the embedding of the threshold model.
     pub fn uniform(qs: QuorumSystem) -> Self {
         let n = qs.n();
-        AsymQuorumSystem { systems: vec![qs; n] }
+        AsymQuorumSystem { systems: vec![qs; n].into() }
     }
 
     /// Number of processes.

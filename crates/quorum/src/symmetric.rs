@@ -5,10 +5,14 @@
 //! quorum system* `Q` whose quorums pairwise intersect outside every common
 //! fail-prone set (consistency) and avoid every fail-prone set (availability).
 //!
-//! Threshold systems (`f` out of `n`) are represented implicitly so that
-//! membership and kernel tests are `O(1)` instead of enumerating `C(n, f)`
-//! subsets; explicit systems carry the antichain of maximal fail-prone sets /
-//! minimal quorums.
+//! Slice-threshold systems are represented implicitly by a slice and a bound:
+//! everything outside the slice `S` may fail plus any `f` members of `S`, and
+//! a quorum is any `q` members of `S`. A classic `f`-of-`n` threshold is the
+//! slice `S = P` ([`FailProneSystem::threshold`], [`QuorumSystem::threshold`]),
+//! so one representation serves both. Membership, kernel and coverage tests
+//! count the members of the slice in place, word by word, instead of
+//! enumerating `C(|S|, f)` subsets or allocating an intersection. Explicit
+//! systems carry the antichain of maximal fail-prone sets / minimal quorums.
 
 use crate::combinatorics::{combinations, minimal_hitting_sets, retain_maximal, retain_minimal};
 use crate::set::count_members;
@@ -35,13 +39,6 @@ use crate::{ProcessSet, QuorumError};
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FailProneSystem {
-    /// All subsets of size at most `f` may fail.
-    Threshold {
-        /// Number of processes in the system.
-        n: usize,
-        /// Maximum number of simultaneous failures tolerated.
-        f: usize,
-    },
     /// An explicit antichain of maximal fail-prone sets.
     Explicit {
         /// Number of processes in the system.
@@ -52,7 +49,7 @@ pub enum FailProneSystem {
     /// Trust is placed only in `slice` (a Ripple UNL / simple Stellar slice):
     /// every process outside `slice` may fail, plus up to `f` members of
     /// `slice`. Maximal sets are `(P ∖ slice) ∪ C` for each `f`-subset `C` of
-    /// `slice`.
+    /// `slice`. With `slice = P` this is the `f`-of-`n` threshold system.
     SliceThreshold {
         /// Number of processes in the system.
         n: usize,
@@ -65,14 +62,14 @@ pub enum FailProneSystem {
 
 impl FailProneSystem {
     /// Creates the threshold fail-prone system tolerating `f` out of `n`
-    /// failures.
+    /// failures: the slice system over all of `P`.
     ///
     /// # Panics
     ///
     /// Panics if `f >= n`.
     pub fn threshold(n: usize, f: usize) -> Self {
         assert!(f < n, "threshold fail-prone system needs f < n (got f={f}, n={n})");
-        FailProneSystem::Threshold { n, f }
+        FailProneSystem::slice_threshold(n, ProcessSet::full(n), f)
     }
 
     /// Creates an explicit fail-prone system from arbitrary sets.
@@ -115,9 +112,7 @@ impl FailProneSystem {
     /// Number of processes in the system.
     pub fn n(&self) -> usize {
         match self {
-            FailProneSystem::Threshold { n, .. }
-            | FailProneSystem::Explicit { n, .. }
-            | FailProneSystem::SliceThreshold { n, .. } => *n,
+            FailProneSystem::Explicit { n, .. } | FailProneSystem::SliceThreshold { n, .. } => *n,
         }
     }
 
@@ -125,12 +120,9 @@ impl FailProneSystem {
     /// failures (some fail-prone set contains it).
     pub fn covers(&self, faulty: &ProcessSet) -> bool {
         match self {
-            FailProneSystem::Threshold { n, f } => {
-                faulty.len() <= *f && faulty.max_id().is_none_or(|m| m.index() < *n)
-            }
             FailProneSystem::Explicit { sets, .. } => sets.iter().any(|s| faulty.is_subset(s)),
             FailProneSystem::SliceThreshold { n, slice, f } => {
-                faulty.intersection(slice).len() <= *f
+                count_members(*n, [faulty, slice], |[a, s]| a & s) <= *f
                     && faulty.max_id().is_none_or(|m| m.index() < *n)
             }
         }
@@ -138,16 +130,12 @@ impl FailProneSystem {
 
     /// Returns the maximal fail-prone sets.
     ///
-    /// For threshold and slice-threshold systems this *enumerates* all
-    /// `C(|S|, f)` subsets — only call it on small systems (figure
-    /// regeneration, tests). Validation calls it only for a pair of systems
-    /// with an `Explicit` side; every other pair is decided by counting
-    /// members of the slices.
+    /// For slice-threshold systems this *enumerates* all `C(|S|, f)` subsets
+    /// — only call it on small systems (figure regeneration, tests).
+    /// Validation calls it only for a pair of systems with an `Explicit`
+    /// side; every other pair is decided by counting members of the slices.
     pub fn maximal_sets(&self) -> Vec<ProcessSet> {
         match self {
-            FailProneSystem::Threshold { n, f } => {
-                combinations(&ProcessSet::full(*n), *f).collect()
-            }
             FailProneSystem::Explicit { sets, .. } => sets.clone(),
             FailProneSystem::SliceThreshold { n, slice, f } => {
                 let outside = slice.complement(*n);
@@ -167,25 +155,6 @@ impl FailProneSystem {
     /// Returns a witness of a Q³ violation, or `None` if Q³ holds.
     pub fn q3_violation(&self) -> Option<[ProcessSet; 3]> {
         match self {
-            FailProneSystem::Threshold { n, f } => {
-                if *n > 3 * *f {
-                    None
-                } else {
-                    // Witness: three consecutive slices of size f (padded with
-                    // the last processes if 3f > n they overlap arbitrarily).
-                    let a = ProcessSet::from_indices(0..*f);
-                    let b = ProcessSet::from_indices(*f..(2 * *f).min(*n));
-                    let mut c = ProcessSet::from_indices((2 * *f).min(*n)..*n);
-                    // Pad c up to f elements to stay a fail-prone set.
-                    for i in 0..*n {
-                        if c.len() >= *f {
-                            break;
-                        }
-                        c.insert(crate::ProcessId::new(i));
-                    }
-                    Some([a, b, c])
-                }
-            }
             FailProneSystem::Explicit { n, sets } => {
                 let full = ProcessSet::full(*n);
                 for a in sets {
@@ -229,7 +198,6 @@ impl FailProneSystem {
     /// system used by classic BFT protocols.
     pub fn canonical_quorums(&self) -> QuorumSystem {
         match self {
-            FailProneSystem::Threshold { n, f } => QuorumSystem::Threshold { n: *n, q: n - f },
             FailProneSystem::Explicit { n, sets } => {
                 let mut quorums: Vec<ProcessSet> = sets.iter().map(|s| s.complement(*n)).collect();
                 retain_minimal(&mut quorums);
@@ -261,13 +229,6 @@ impl FailProneSystem {
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum QuorumSystem {
-    /// Quorums are all subsets of size at least `q`.
-    Threshold {
-        /// Number of processes in the system.
-        n: usize,
-        /// Minimum quorum cardinality.
-        q: usize,
-    },
     /// An explicit antichain of minimal quorums.
     Explicit {
         /// Number of processes in the system.
@@ -276,7 +237,8 @@ pub enum QuorumSystem {
         quorums: Vec<ProcessSet>,
     },
     /// Quorums are all subsets of `slice` of size at least `q` (the canonical
-    /// quorum system of [`FailProneSystem::SliceThreshold`]).
+    /// quorum system of [`FailProneSystem::SliceThreshold`]). With
+    /// `slice = P` this is the threshold system of all `q`-sets.
     SliceThreshold {
         /// Number of processes in the system.
         n: usize,
@@ -289,14 +251,14 @@ pub enum QuorumSystem {
 
 impl QuorumSystem {
     /// Creates the threshold quorum system whose quorums are all sets of at
-    /// least `q` processes.
+    /// least `q` processes: the slice system over all of `P`.
     ///
     /// # Panics
     ///
     /// Panics if `q == 0` or `q > n`.
     pub fn threshold(n: usize, q: usize) -> Self {
         assert!(q >= 1 && q <= n, "threshold quorum size must satisfy 1 ≤ q ≤ n");
-        QuorumSystem::Threshold { n, q }
+        QuorumSystem::slice_threshold(n, ProcessSet::full(n), q)
     }
 
     /// Creates an explicit quorum system from arbitrary quorums; non-minimal
@@ -342,16 +304,13 @@ impl QuorumSystem {
     /// Number of processes in the system.
     pub fn n(&self) -> usize {
         match self {
-            QuorumSystem::Threshold { n, .. }
-            | QuorumSystem::Explicit { n, .. }
-            | QuorumSystem::SliceThreshold { n, .. } => *n,
+            QuorumSystem::Explicit { n, .. } | QuorumSystem::SliceThreshold { n, .. } => *n,
         }
     }
 
     /// Size of the smallest quorum (`c(Q)` in the paper's Lemma 4.4).
     pub fn min_quorum_size(&self) -> usize {
         match self {
-            QuorumSystem::Threshold { q, .. } => *q,
             QuorumSystem::Explicit { quorums, .. } => {
                 quorums.iter().map(ProcessSet::len).min().unwrap_or(0)
             }
@@ -364,8 +323,6 @@ impl QuorumSystem {
     /// This is the protocols' round-advancement test `∃Q ∈ Q_i: Q ⊆ observed`.
     pub fn contains_quorum(&self, observed: &ProcessSet) -> bool {
         match self {
-            // Only members of the universe count.
-            QuorumSystem::Threshold { n, q } => count_members(*n, [observed], |[o]| o) >= *q,
             QuorumSystem::Explicit { quorums, .. } => {
                 quorums.iter().any(|qs| qs.is_subset(observed))
             }
@@ -378,9 +335,6 @@ impl QuorumSystem {
     /// Returns some quorum contained in `observed`, if any.
     pub fn find_quorum(&self, observed: &ProcessSet) -> Option<ProcessSet> {
         match self {
-            QuorumSystem::Threshold { n, q } => self
-                .contains_quorum(observed)
-                .then(|| observed.iter().filter(|p| p.index() < *n).take(*q).collect()),
             QuorumSystem::Explicit { quorums, .. } => {
                 quorums.iter().find(|qs| qs.is_subset(observed)).cloned()
             }
@@ -394,7 +348,6 @@ impl QuorumSystem {
     /// kernel (the protocols' amplification test `∃K ∈ K_i: K ⊆ observed`).
     pub fn is_kernel(&self, observed: &ProcessSet) -> bool {
         match self {
-            QuorumSystem::Threshold { n, q } => count_members(*n, [observed], |[o]| o) > n - q,
             QuorumSystem::Explicit { quorums, .. } => {
                 quorums.iter().all(|qs| qs.intersects(observed))
             }
@@ -406,12 +359,11 @@ impl QuorumSystem {
 
     /// Enumerates the minimal quorums.
     ///
-    /// For threshold and slice-threshold systems this enumerates `C(|T|, q)`
-    /// sets — only call it on small systems. Validation calls it only for a
-    /// pair of systems with an `Explicit` side.
+    /// For slice-threshold systems this enumerates `C(|T|, q)` sets — only
+    /// call it on small systems. Validation calls it only for a pair of
+    /// systems with an `Explicit` side.
     pub fn minimal_quorums(&self) -> Vec<ProcessSet> {
         match self {
-            QuorumSystem::Threshold { n, q } => combinations(&ProcessSet::full(*n), *q).collect(),
             QuorumSystem::Explicit { quorums, .. } => quorums.clone(),
             QuorumSystem::SliceThreshold { slice, q, .. } => combinations(slice, *q).collect(),
         }
@@ -420,13 +372,10 @@ impl QuorumSystem {
     /// Computes the minimal kernels (minimal hitting sets of the quorums).
     ///
     /// Exponential in general; intended for inspection and tests on small
-    /// systems. For threshold systems the closed form (all `(n−q+1)`-subsets)
-    /// is returned without search.
+    /// systems. For slice-threshold systems the closed form (all
+    /// `(|T|−q+1)`-subsets of the slice) is returned without search.
     pub fn minimal_kernels(&self) -> Vec<ProcessSet> {
         match self {
-            QuorumSystem::Threshold { n, q } => {
-                combinations(&ProcessSet::full(*n), n - q + 1).collect()
-            }
             QuorumSystem::Explicit { quorums, .. } => minimal_hitting_sets(quorums),
             QuorumSystem::SliceThreshold { slice, q, .. } => {
                 combinations(slice, slice.len() - q + 1).collect()

@@ -3,9 +3,9 @@
 //! asymmetric one checks every pair of *distinct* per-process systems, since
 //! each rule depends only on the two systems, not on the processes.
 //!
-//! A `Threshold` or `SliceThreshold` system is a *slice* and a *bound*: its
-//! fail-prone sets are everything outside a slice `S` plus any `f` members of
-//! `S`, and its quorums are any `q` members of a slice `T` (`Threshold` has
+//! A `SliceThreshold` system is a *slice* and a *bound*: its fail-prone sets
+//! are everything outside a slice `S` plus any `f` members of `S`, and its
+//! quorums are any `q` members of a slice `T` (a threshold system has
 //! `S = T = P`). For two such systems every rule compares the sizes of a few
 //! regions of the slices, counted by popcount without allocating. Only a pair
 //! with an `Explicit` side enumerates maximal fail-prone sets and minimal
@@ -39,6 +39,20 @@ pub(crate) fn pairs<T>(items: &[T]) -> impl Iterator<Item = (&T, &T)> {
     items.iter().enumerate().flat_map(move |(k, a)| items[k..].iter().map(move |b| (a, b)))
 }
 
+fn fail_slice(fail: &FailProneSystem) -> Option<Slice<'_>> {
+    match fail {
+        FailProneSystem::SliceThreshold { slice, f, .. } => Some((slice, *f)),
+        FailProneSystem::Explicit { .. } => None,
+    }
+}
+
+fn quorum_slice(quorums: &QuorumSystem) -> Option<Slice<'_>> {
+    match quorums {
+        QuorumSystem::SliceThreshold { slice, q, .. } => Some((slice, *q)),
+        QuorumSystem::Explicit { .. } => None,
+    }
+}
+
 /// The universe `P` of one validation, shared by every pair it checks.
 pub(crate) struct Universe {
     n: usize,
@@ -57,7 +71,7 @@ impl Universe {
         (i, fail_i): (ProcessId, &FailProneSystem),
         (j, fail_j): (ProcessId, &FailProneSystem),
     ) -> Result<(), QuorumError> {
-        let witness = match (self.fail_slice(fail_i), self.fail_slice(fail_j)) {
+        let witness = match (fail_slice(fail_i), fail_slice(fail_j)) {
             (Some(a), Some(b)) => self.b3_closed(a, b),
             _ => self.b3_enumerated(fail_i, fail_j),
         };
@@ -72,10 +86,10 @@ impl Universe {
         (j, (quorums_j, fail_j)): (ProcessId, Trust),
     ) -> Result<(), QuorumError> {
         let slices = (
-            self.quorum_slice(quorums_i),
-            self.fail_slice(fail_i),
-            self.quorum_slice(quorums_j),
-            self.fail_slice(fail_j),
+            quorum_slice(quorums_i),
+            fail_slice(fail_i),
+            quorum_slice(quorums_j),
+            fail_slice(fail_j),
         );
         let witness = match slices {
             (Some(ti), Some(si), Some(tj), Some(sj)) => self.consistency_closed(ti, si, tj, sj),
@@ -91,29 +105,13 @@ impl Universe {
         &self,
         (process, (quorums, fail)): (ProcessId, Trust),
     ) -> Result<(), QuorumError> {
-        let witness = match (self.quorum_slice(quorums), self.fail_slice(fail)) {
+        let witness = match (quorum_slice(quorums), fail_slice(fail)) {
             (Some(t), Some(s)) => self.availability_closed(t, s),
             _ => availability_enumerated(quorums, fail),
         };
         witness.map_or(Ok(()), |fail_prone| {
             Err(QuorumError::AvailabilityViolation { process, fail_prone })
         })
-    }
-
-    fn fail_slice<'a>(&'a self, fail: &'a FailProneSystem) -> Option<Slice<'a>> {
-        match fail {
-            FailProneSystem::Threshold { f, .. } => Some((&self.all, *f)),
-            FailProneSystem::SliceThreshold { slice, f, .. } => Some((slice, *f)),
-            FailProneSystem::Explicit { .. } => None,
-        }
-    }
-
-    fn quorum_slice<'a>(&'a self, quorums: &'a QuorumSystem) -> Option<Slice<'a>> {
-        match quorums {
-            QuorumSystem::Threshold { q, .. } => Some((&self.all, *q)),
-            QuorumSystem::SliceThreshold { slice, q, .. } => Some((slice, *q)),
-            QuorumSystem::Explicit { .. } => None,
-        }
     }
 
     fn count<const K: usize>(

@@ -7,14 +7,14 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`quorum`] | symmetric & asymmetric Byzantine quorum systems, B³, guilds, the Figure-1 counterexample, topology generators |
+//! | [`quorum`] | symmetric & asymmetric Byzantine quorum systems (an `f`-of-`n` threshold is the slice system over all of P), B³, guilds, the Figure-1 counterexample, topology generators |
 //! | [`sim`] | deterministic discrete-event simulator with adversarial schedulers and fault injection |
 //! | [`crypto`] | from-scratch SHA-256, digests, the simulated common coin |
 //! | [`broadcast`] | Bracha / asymmetric reliable broadcast |
-//! | [`gather`] | Algorithms 1–3: symmetric gather, the failing quorum-replacement attempt, the constant-round asymmetric gather |
+//! | [`gather`] | Algorithms 1–3: the 3-round gather (`NaiveGather` at R = 3; over a threshold system it is Algorithm 1, over an asymmetric one the failing Algorithm 2), the constant-round asymmetric gather |
 //! | [`dag`] | certified-DAG substrate: vertices, store, reachability, waves |
 //! | [`storage`] | persistent DAG event log: checksummed WAL, snapshots, in-memory & file backends, crash-recovery replay |
-//! | [`core`] | DAG-Rider (baseline) and asymmetric DAG-Rider (Algorithms 4–6), with WAL-backed crash recovery |
+//! | [`core`] | DAG-Rider (baseline: the same quorum rules on a threshold system, without the ACK/READY/CONFIRM ladder) and asymmetric DAG-Rider (Algorithms 4–6), with WAL-backed crash recovery |
 //! | [`scenarios`] | the one execution harness: a `Scenario` (topology × fault plan × scheduler × seed × protocol) run and audited by the invariant checkers |
 //!
 //! This umbrella crate re-exports everything. Every consensus execution —
