@@ -1,5 +1,8 @@
 //! Behaviour pin: every `Matrix::smoke()` cell must replay to exactly the
-//! execution recorded in `tests/behaviour_pin.txt`.
+//! execution recorded in `tests/behaviour_pin.txt`, and every
+//! `Matrix::full()` cell to the one recorded in
+//! `tests/behaviour_pin_full.txt` (an `#[ignore]`d test, run by
+//! `cargo test --release --test behaviour_pin -- --ignored`).
 //!
 //! Each cell folds its observable execution into one FNV-1a-64 digest
 //! (the WAL framing's checksum, so the value is stable across platforms
@@ -10,10 +13,13 @@
 //! bit. A change that alters a trace on purpose re-pins by replacing the
 //! file with the table this test prints on a mismatch, and says so.
 
-use asym_scenarios::{Matrix, ScenarioOutcome};
+use asym_scenarios::{Matrix, Scenario, ScenarioOutcome};
 
 /// The pinned per-cell digests, one hex value per line in sweep order.
-const PINNED: &str = include_str!("behaviour_pin.txt");
+const PINNED_SMOKE: &str = include_str!("behaviour_pin.txt");
+
+/// The same for the full sweep.
+const PINNED_FULL: &str = include_str!("behaviour_pin_full.txt");
 
 /// Canonical little-endian encoding of everything the pin covers.
 fn encode(o: &ScenarioOutcome) -> Vec<u8> {
@@ -64,9 +70,9 @@ fn encode(o: &ScenarioOutcome) -> Vec<u8> {
     bytes
 }
 
-#[test]
-fn smoke_matrix_executions_match_the_pinned_digests() {
-    let cells = Matrix::smoke().scenarios();
+/// Replays every cell and compares its digest with the `pinned` table;
+/// on a mismatch, fails listing the drifted cells and the new table.
+fn assert_matches_pin(label: &str, cells: &[Scenario], pinned: &str) {
     let digests: Vec<u64> = cells
         .iter()
         .map(|s| {
@@ -74,7 +80,7 @@ fn smoke_matrix_executions_match_the_pinned_digests() {
             asym_storage::checksum(&encode(&outcome))
         })
         .collect();
-    let pinned: Vec<u64> = PINNED
+    let pinned: Vec<u64> = pinned
         .lines()
         .map(|l| u64::from_str_radix(l.trim(), 16).expect("pin lines are hex digests"))
         .collect();
@@ -90,10 +96,21 @@ fn smoke_matrix_executions_match_the_pinned_digests() {
     let table: String = digests.iter().map(|d| format!("{d:016x}\n")).collect();
     assert!(
         drifted.is_empty() && digests.len() == pinned.len(),
-        "{} of {} smoke cells drifted from the pin ({} pinned):\n{}\nnew table:\n{table}",
+        "{} of {} {label} cells drifted from the pin ({} pinned):\n{}\nnew table:\n{table}",
         drifted.len(),
         digests.len(),
         pinned.len(),
         drifted.join("\n"),
     );
+}
+
+#[test]
+fn smoke_matrix_executions_match_the_pinned_digests() {
+    assert_matches_pin("smoke", &Matrix::smoke().scenarios(), PINNED_SMOKE);
+}
+
+#[test]
+#[ignore = "replays all 5742 full-sweep cells; the scenario-matrix CI job runs it"]
+fn full_matrix_executions_match_the_pinned_digests() {
+    assert_matches_pin("full", &Matrix::full().scenarios(), PINNED_FULL);
 }
