@@ -4,7 +4,8 @@
 //! budget, run to quiescence) of one scenario cell, which the invariant
 //! checkers audit once before it is timed; the derived observables (waves
 //! per commit, message counts, simulated latency) are printed by
-//! `cargo run -p asym-bench --bin exp_waves` / `exp_latency`.
+//! `cargo run -p asym-bench --bin exp_waves` / `exp_latency`. The
+//! `consensus-horizon` group times one cell at two DAG heights.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -60,5 +61,19 @@ fn bench_crash_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_scaling, bench_topologies, bench_crash_overhead);
+/// The same fault-free ripple cell at 32 and 128 waves. Vertex creation
+/// and commit walk only what is new, so the time per wave (time per
+/// execution over waves) should stay flat as the DAG grows.
+fn bench_horizon(c: &mut Criterion) {
+    let mut g = c.benchmark_group("consensus-horizon");
+    g.sample_size(10);
+    let t = TopologySpec::RippleUnl { n: 10, unl: 8, f: 1 };
+    for waves in [32, 128] {
+        let scenario = cell(t, FaultPlan::none(), ProtocolSpec::AsymDagRider).waves(waves);
+        bench_cell(&mut g, BenchmarkId::new("waves", waves).to_string(), scenario);
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_scaling, bench_topologies, bench_crash_overhead, bench_horizon);
 criterion_main!(benches);

@@ -32,6 +32,13 @@ pub struct DagCore {
     config: RiderConfig,
     metrics: RiderMetrics,
     log: Option<DagLog>,
+    /// Vertices inserted since this process last created a vertex — the
+    /// only possible weak-edge targets of its next one (see
+    /// `compute_weak_edges`).
+    uncovered: HashSet<VertexId>,
+    /// Round of the last vertex this process created, `0` if it has not
+    /// created one or the stored copy of it is another.
+    covered: Round,
 }
 
 impl DagCore {
@@ -49,6 +56,8 @@ impl DagCore {
             config,
             metrics: RiderMetrics::default(),
             log: None,
+            uncovered: HashSet::new(),
+            covered: 0,
         }
     }
 
@@ -188,6 +197,7 @@ impl DagCore {
                 }
                 if v.round() <= self.round && self.dag.parents_present(v) {
                     let v = self.buffer.swap_remove(i);
+                    let id = v.id();
                     let log = &mut self.log;
                     let hook = |v: &Vertex<Block>| {
                         if let Some(log) = log {
@@ -198,7 +208,10 @@ impl DagCore {
                         }
                     };
                     match self.dag.insert_with(v, hook) {
-                        Ok(()) => inserted_one = true,
+                        Ok(()) => {
+                            self.uncovered.insert(id);
+                            inserted_one = true;
+                        }
                         Err(asym_dag::DagError::Duplicate(_)) => {}
                         Err(e) => unreachable!("parents checked: {e}"),
                     }
@@ -239,10 +252,16 @@ impl DagCore {
         let weak = self.compute_weak_edges(round, &strong);
         let v = Vertex::new(self.me, round, block, strong, weak);
         self.metrics.vertices_created += 1;
+        // `v` reaches everything stored up to round − 1, so only what is
+        // inserted from here on — this very drain included — is uncovered.
+        self.uncovered.clear();
         // Locally store via the buffer so self-delivery is not required
         // before referencing our own vertex.
         self.buffer.push(v.clone());
         self.drain_buffer();
+        // A copy of this identity stored earlier (refetched after a lossy
+        // restart) wins the insert; that copy covers nothing in particular.
+        self.covered = if self.dag.get(v.id()) == Some(&v) { round } else { 0 };
         self.hub.broadcast(round, v)
     }
 
@@ -342,27 +361,74 @@ impl DagCore {
 
     /// `setWeakEdges` (Algorithm 4, lines 84–88): weak edges to every vertex
     /// in rounds `1..round−1` not already reachable from the strong parents.
-    fn compute_weak_edges(&self, round: Round, strong: &ProcessSet) -> Vec<VertexId> {
+    ///
+    /// The search is confined to `uncovered`. When this process's own
+    /// round-(`round`−1) vertex is stored and `covered == round − 1`, that
+    /// vertex reaches every vertex stored before it was created, so those
+    /// are never weak edges; and since a vertex is inserted only after its
+    /// parents, and pruning removes ancestor-closed delivered prefixes, no
+    /// path from a strong parent to a vertex inserted later runs through
+    /// one stored earlier. Otherwise — a fresh
+    /// [`from_recovered`](DagCore::from_recovered) engine, a
+    /// [`fast_forward_round`](DagCore::fast_forward_round), or a pruned own
+    /// vertex — `uncovered` is reseeded with every stored vertex of rounds
+    /// 1 to `round` − 1, and the same walk is the whole-DAG search.
+    fn compute_weak_edges(&mut self, round: Round, strong: &ProcessSet) -> Vec<VertexId> {
         if round < 3 {
             return Vec::new();
         }
-        // Everything reachable from the strong parents; each vertex still
-        // outside that history becomes a weak edge and extends it.
+        if self.covered + 1 != round || !self.dag.contains(VertexId::new(round - 1, self.me)) {
+            self.uncovered =
+                (1..round).flat_map(|r| self.dag.vertices_in_round(r)).map(Vertex::id).collect();
+        }
+        // Everything reachable from the strong parents; each candidate still
+        // outside that reach becomes a weak edge and extends it. Candidates
+        // go by round descending, then source ascending.
         let mut reach = HashSet::new();
         for s in strong {
-            self.dag.extend_history(&mut reach, VertexId::new(round - 1, s));
+            let id = VertexId::new(round - 1, s);
+            if self.uncovered.contains(&id) {
+                self.reach_uncovered(&mut reach, id);
+            }
         }
+        let mut candidates: Vec<VertexId> = self
+            .uncovered
+            .iter()
+            .filter(|id| id.round < round - 1 && self.dag.contains(**id))
+            .copied()
+            .collect();
+        candidates.sort_unstable_by_key(|id| (std::cmp::Reverse(id.round), id.source));
         let mut weak = Vec::new();
-        for r in (1..round - 1).rev() {
-            for v in self.dag.vertices_in_round(r) {
-                if self.dag.extend_history(&mut reach, v.id()) {
-                    weak.push(v.id());
-                }
+        for c in candidates {
+            if self.reach_uncovered(&mut reach, c) {
+                weak.push(c);
             }
         }
         weak
     }
+
+    /// Adds `from` and every uncovered vertex reachable from it through
+    /// stored uncovered vertices to `reach`; returns `false`, without
+    /// walking, if `from` was already there.
+    fn reach_uncovered(&self, reach: &mut HashSet<VertexId>, from: VertexId) -> bool {
+        if !reach.insert(from) {
+            return false;
+        }
+        let mut stack = vec![from];
+        while let Some(cur) = stack.pop() {
+            let Some(v) = self.dag.get(cur) else { continue };
+            for p in v.parents() {
+                if self.uncovered.contains(&p) && reach.insert(p) {
+                    stack.push(p);
+                }
+            }
+        }
+        true
+    }
 }
+
+#[cfg(test)]
+mod reference_walks;
 
 #[cfg(test)]
 mod tests {

@@ -5,8 +5,16 @@
 //! vertices must reach the leader by strong paths); everything downstream —
 //! the leader stack walk-back, the deterministic causal-history delivery —
 //! is identical and lives here.
+//!
+//! Delivery walks only what is new. The delivered set is ancestor-closed:
+//! it is the union of committed leaders' causal histories and installed
+//! wave segments (each a donor's union of the same kind), and pruning
+//! removes only delivered vertices, all of them at or below its floor. So
+//! the walk from a leader stops at delivered vertices and still finds the
+//! leader's whole undelivered history, at a cost proportional to that
+//! history rather than to the height of the DAG.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use asym_crypto::CommonCoin;
 use asym_dag::{round_of_wave, DagStore, VertexId, WaveId};
@@ -107,9 +115,9 @@ impl WaveCommitter {
 
     /// The vertices ordered by wave `w`'s commit, in the deterministic
     /// `(round, source)` delivery order — one transferable wave segment.
-    /// Delivery within a commit walks `causal_history` (sorted) skipping
-    /// already-delivered vertices, so this reconstruction *is* the original
-    /// delivery order, bit for bit, at every honest process.
+    /// Delivery within a commit sorts each leader's undelivered history by
+    /// `(round, source)`, so this reconstruction *is* the original delivery
+    /// order, bit for bit, at every honest process.
     pub fn delivered_in_wave(&self, w: WaveId) -> Vec<VertexId> {
         let mut ids: Vec<VertexId> =
             self.delivered.iter().filter(|(_, dw)| **dw == w).map(|(id, _)| *id).collect();
@@ -150,10 +158,13 @@ impl WaveCommitter {
 
     /// Runs `waveReady(w)`: elects the leader by the common coin, applies
     /// the commit rule, and on success walks the leader stack back to the
-    /// last decided wave and delivers causal histories in deterministic
-    /// order. The commit rule asks `is_quorum` whether the round-4 sources
-    /// with a strong path to the leader suffice; both protocol variants ask
-    /// their quorum system, and tests pass constants to force an outcome.
+    /// last decided wave and delivers each leader's undelivered causal
+    /// history in deterministic `(round, source)` order. That walk stops at
+    /// delivered vertices, which is sound because the delivered set is
+    /// ancestor-closed (see the module docs). The commit rule asks
+    /// `is_quorum` whether the round-4 sources with a strong path to the
+    /// leader suffice; both protocol variants ask their quorum system, and
+    /// tests pass constants to force an outcome.
     pub fn wave_ready(
         &mut self,
         dag: &DagStore<Block>,
@@ -195,12 +206,9 @@ impl WaveCommitter {
         let mut ordered = 0;
         while let Some((wave, leader)) = stack.pop() {
             self.log.push((wave, leader));
-            for vid in dag.causal_history(leader) {
-                if vid.round == 0 || self.delivered.contains_key(&vid) {
-                    continue;
-                }
+            for vid in self.undelivered_history(dag, leader) {
                 self.delivered.insert(vid, wave);
-                let vertex = dag.get(vid).expect("causal history vertices are stored");
+                let vertex = dag.get(vid).expect("undelivered vertices are stored");
                 out.push(OrderedVertex {
                     id: vid,
                     block: vertex.block().clone(),
@@ -210,6 +218,40 @@ impl WaveCommitter {
             }
         }
         CommitOutcome::Committed { ordered }
+    }
+
+    /// `orderVertices`' walk: the causal history of `leader` minus the
+    /// delivered vertices and genesis, in `(round, source)` order. The walk
+    /// follows only parents that are neither delivered nor genesis; since
+    /// the delivered set is ancestor-closed (see the module docs), nothing
+    /// undelivered lies behind a delivered vertex. A delivered leader has
+    /// no undelivered history.
+    fn undelivered_history(&self, dag: &DagStore<Block>, leader: VertexId) -> Vec<VertexId> {
+        let fresh = |id: &VertexId| id.round != 0 && !self.delivered.contains_key(id);
+        let mut seen: HashSet<VertexId> = HashSet::new();
+        let mut stack: Vec<VertexId> = Vec::new();
+        if fresh(&leader) {
+            seen.insert(leader);
+            stack.push(leader);
+        }
+        while let Some(cur) = stack.pop() {
+            let Some(v) = dag.get(cur) else { continue };
+            for p in v.parents() {
+                if fresh(&p) {
+                    if seen.insert(p) {
+                        stack.push(p);
+                    }
+                } else {
+                    debug_assert!(
+                        dag.get(p).is_none_or(|d| d.parents().all(|q| !fresh(&q))),
+                        "delivered set not ancestor-closed: {p} has an undelivered parent"
+                    );
+                }
+            }
+        }
+        let mut out: Vec<VertexId> = seen.into_iter().collect();
+        out.sort_unstable();
+        out
     }
 
     /// The leader *vertex* of wave `w` in this DAG, if present
@@ -379,6 +421,20 @@ mod tests {
         let mut wc = WaveCommitter::new();
         wc.install_wave(2, VertexId::new(5, pid(0)), &[]);
         wc.install_wave(2, VertexId::new(5, pid(0)), &[]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not ancestor-closed")]
+    fn commit_walk_rejects_a_delivered_set_that_is_not_ancestor_closed() {
+        // (2, p0) counts as delivered while its round-1 parents do not: the
+        // walk from wave 2's leader stops there and must fail loudly rather
+        // than silently leave those parents out of the delivery.
+        let n = 4;
+        let dag = full_dag(n, 8);
+        let coin = CommonCoin::new(3, n);
+        let mut wc = WaveCommitter::from_parts(1, [(VertexId::new(2, pid(0)), 1)], Vec::new());
+        wc.wave_ready(&dag, &coin, 2, |_| true, &mut Vec::new());
     }
 
     #[test]

@@ -352,36 +352,27 @@ impl<B> DagStore<B> {
     }
 
     /// All vertices reachable from `from` (inclusive) via strong or weak
-    /// edges, in deterministic `(round, source)` order — the traversal behind
-    /// `orderVertices`.
+    /// edges, in deterministic `(round, source)` order: the whole-DAG
+    /// reference walk of `orderVertices` and `setWeakEdges`. Pruned parents
+    /// are named but not expanded. The rider does not call it — its walks
+    /// visit only what is new — but tests compare those walks against it.
     pub fn causal_history(&self, from: VertexId) -> Vec<VertexId> {
         let mut seen: HashSet<VertexId> = HashSet::new();
         if self.contains(from) {
-            self.extend_history(&mut seen, from);
+            seen.insert(from);
+            let mut stack = vec![from];
+            while let Some(cur) = stack.pop() {
+                let Some(v) = self.get(cur) else { continue };
+                for p in v.parents() {
+                    if seen.insert(p) {
+                        stack.push(p);
+                    }
+                }
+            }
         }
         let mut out: Vec<VertexId> = seen.into_iter().collect();
         out.sort();
         out
-    }
-
-    /// Adds `from` and everything reachable from it through stored
-    /// vertices' parents to `seen`, which must already hold the history of
-    /// each of its members (as it does when only grown by this method).
-    /// Returns `false`, without walking, if `from` was already in `seen`.
-    pub fn extend_history(&self, seen: &mut HashSet<VertexId>, from: VertexId) -> bool {
-        if !seen.insert(from) {
-            return false;
-        }
-        let mut stack = vec![from];
-        while let Some(cur) = stack.pop() {
-            let Some(v) = self.get(cur) else { continue };
-            for p in v.parents() {
-                if seen.insert(p) {
-                    stack.push(p);
-                }
-            }
-        }
-        true
     }
 }
 
