@@ -44,11 +44,13 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Frames one payload into `out`.
-pub fn frame_record(payload: &[u8], out: &mut Vec<u8>) {
+/// Frames one payload into `out`, returning the payload's checksum.
+pub fn frame_record(payload: &[u8], out: &mut Vec<u8>) -> u64 {
+    let sum = checksum(payload);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
+    out.extend_from_slice(&sum.to_le_bytes());
     out.extend_from_slice(payload);
+    sum
 }
 
 /// Result of decoding one framed area.
@@ -132,6 +134,24 @@ pub struct WalStats {
     pub snapshots_written: u64,
     /// Size in bytes of the most recent snapshot blob.
     pub last_snapshot_bytes: u64,
+    /// Running FNV-1a-64 fold, in write order, of every appended record's
+    /// checksum and, per snapshot, a marker followed by each snapshot
+    /// record's checksum — unlike the counts above, it changes when the
+    /// same records are written in another order.
+    pub digest: u64,
+}
+
+/// Marker folded into [`WalStats::digest`] ahead of a snapshot's records,
+/// so a snapshot never digests like the same records appended to the log.
+const SNAPSHOT_MARKER: u64 = u64::MAX;
+
+impl WalStats {
+    fn fold(&mut self, word: u64) {
+        self.digest = word
+            .to_le_bytes()
+            .iter()
+            .fold(self.digest, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3));
+    }
 }
 
 /// Everything persisted: the snapshot records followed by the log tail.
@@ -245,8 +265,9 @@ impl<S: Storage> Wal<S> {
     /// [`StorageError::Io`] if the backend rejects the write.
     pub fn append(&mut self, payload: &[u8]) -> Result<(), StorageError> {
         let mut framed = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
-        frame_record(payload, &mut framed);
+        let sum = frame_record(payload, &mut framed);
         self.backend.append_log(&framed)?;
+        self.stats.fold(sum);
         self.stats.records_appended += 1;
         self.stats.bytes_appended += framed.len() as u64;
         // Saturating: with the cadence disabled (`0` = never snapshot) this
@@ -274,11 +295,11 @@ impl<S: Storage> Wal<S> {
     /// snapshot; replay is idempotent, so recovery still converges.
     pub fn install_snapshot<R: AsRef<[u8]>>(&mut self, records: &[R]) -> Result<(), StorageError> {
         let mut blob = Vec::new();
-        for r in records {
-            frame_record(r.as_ref(), &mut blob);
-        }
+        let sums: Vec<u64> = records.iter().map(|r| frame_record(r.as_ref(), &mut blob)).collect();
         self.backend.write_snapshot(&blob)?;
         self.backend.replace_log(&[])?;
+        self.stats.fold(SNAPSHOT_MARKER);
+        sums.into_iter().for_each(|sum| self.stats.fold(sum));
         self.stats.snapshots_written += 1;
         self.stats.last_snapshot_bytes = blob.len() as u64;
         self.snapshot_sizes.push(blob.len() as u64);
@@ -360,6 +381,22 @@ mod tests {
         assert_eq!(c.log[1], b"");
         assert_eq!(c.log[2], vec![0xFF; 100]);
         assert_eq!(wal.stats().records_appended, 3);
+    }
+
+    #[test]
+    fn digest_follows_write_order_and_kind() {
+        let digest = |appends: &[&[u8]], snapshot: Option<&[&[u8]]>| {
+            let mut wal = Wal::new(MemStorage::new());
+            appends.iter().for_each(|p| wal.append(p).unwrap());
+            if let Some(records) = snapshot {
+                wal.install_snapshot(records).unwrap();
+            }
+            wal.stats().digest
+        };
+        let ab = digest(&[b"a", b"b"], None);
+        assert_eq!(ab, digest(&[b"a", b"b"], None));
+        assert_ne!(ab, digest(&[b"b", b"a"], None), "same records, other order");
+        assert_ne!(ab, digest(&[b"a"], Some(&[b"b"])), "a snapshot record is not an append");
     }
 
     #[test]

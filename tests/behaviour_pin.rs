@@ -8,7 +8,8 @@
 //! (the WAL framing's checksum, so the value is stable across platforms
 //! and Rust versions): per-process outputs `(id, committed_in_wave, txs)`,
 //! commit logs, transfer counters and WAL counters (records, bytes,
-//! snapshots), plus the run's steps, simulated time and network counters.
+//! snapshots, and the order-sensitive digest of every record written),
+//! plus the run's steps, simulated time and network counters.
 //! A refactor that keeps every digest keeps every pinned execution bit for
 //! bit. A change that alters a trace on purpose re-pins by replacing the
 //! file with the table this test prints on a mismatch, and says so.
@@ -63,6 +64,7 @@ fn encode(o: &ScenarioOutcome) -> Vec<u8> {
                 put(w.records_appended);
                 put(w.bytes_appended);
                 put(w.snapshots_written);
+                put(w.digest);
             }
             None => put(0),
         }
