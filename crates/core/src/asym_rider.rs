@@ -21,7 +21,8 @@
 //!   quorum `Q ∈ Q_j` (for *any* process `j`, Algorithm 6 line 148) have
 //!   strong paths to it.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
+use std::iter;
 
 use asym_broadcast::BcastMsg;
 use asym_crypto::CommonCoin;
@@ -32,10 +33,9 @@ use asym_quorum::{AsymQuorumSystem, ProcessId, ProcessSet};
 use asym_sim::{Context, Protocol};
 use asym_storage::{DagEvent, RecoveredState, StorageError};
 
-use crate::catchup::{self, CatchUp};
+use crate::catchup::{self, CatchUp, TransferStats, WaveSegment};
 use crate::dagcore::{DagCore, DagLog};
 use crate::ordering::WaveCommitter;
-use crate::transfer::{TransferStats, WaveSegment};
 use crate::types::{Block, OrderedVertex, RiderConfig, RiderMetrics};
 
 /// Wire messages of asymmetric DAG-Rider: the arb layer carrying vertices,
@@ -83,7 +83,7 @@ pub enum AsymRiderMsg {
     /// floor lies below the responder's pruning floor: the responder can no
     /// longer serve those rounds as DAG vertices, but offers the delivered
     /// prefix as certified outputs instead (delivered-state transfer — see
-    /// [`crate::transfer`]).
+    /// [`WaveSegment`]).
     StateOffer {
         /// The responder can ship certified state through this wave.
         decided_wave: WaveId,
@@ -137,9 +137,9 @@ pub struct AsymDagRider {
     committer: WaveCommitter,
     coin: CommonCoin,
     control: HashMap<WaveId, WaveControl>,
-    acked_vertices: HashSet<VertexId>,
-    /// Crash-recovery bookkeeping: kernel votes on fetched vertices and
-    /// transferred state, refetch and state-request tracking.
+    /// All receiver-side catch-up state: kernel votes on fetched vertices
+    /// and transferred state, refetch and state-request tracking, and the
+    /// transfer counters.
     catchup: CatchUp,
     /// Block payloads of delivered vertices absent from the DAG (pruned
     /// after delivery, or installed via state transfer) — what this process
@@ -161,7 +161,6 @@ impl AsymDagRider {
             committer: WaveCommitter::new(),
             coin: CommonCoin::new(coin_seed, n),
             control: HashMap::new(),
-            acked_vertices: HashSet::new(),
             catchup: CatchUp::default(),
             delivered_blocks: HashMap::new(),
         }
@@ -233,50 +232,6 @@ impl AsymDagRider {
         self.catchup.transfer_stats()
     }
 
-    /// The transferable block residue: delivered vertices whose full
-    /// vertex this process no longer (or never) holds, `(id, block)` sorted
-    /// by id.
-    pub fn delivered_block_residue(&self) -> Vec<(VertexId, Block)> {
-        let mut v: Vec<(VertexId, Block)> =
-            self.delivered_blocks.iter().map(|(id, b)| (*id, b.clone())).collect();
-        v.sort_unstable_by_key(|(id, _)| *id);
-        v
-    }
-
-    /// Runs `waveReady(w)` with the asymmetric commit rule (Algorithm 6,
-    /// line 148): all round-4 vertices of some quorum of *any* process
-    /// reach the leader by strong paths.
-    fn wave_ready(&mut self, w: WaveId, ctx: &mut Context<'_, AsymRiderMsg, OrderedVertex>) {
-        if w <= self.committer.decided_wave() {
-            return;
-        }
-        let quorums = self.core.quorums();
-        let mut out = Vec::new();
-        let commits_before = self.committer.log().len();
-        let outcome = self.committer.wave_ready(
-            self.core.dag(),
-            &self.coin,
-            w,
-            |supporters| quorums.contains_quorum_for_any(supporters).is_some(),
-            &mut out,
-        );
-        self.core.metrics_mut().count_wave(outcome);
-        // Persist the decision and every delivery *before* handing the
-        // outputs to the environment: on replay, a delivery the WAL lacks
-        // was never observable, and one it has is never re-delivered.
-        if let Some(log) = self.core.log_mut() {
-            for (wave, leader) in &self.committer.log()[commits_before..] {
-                log.append(&DagEvent::WaveDecided { wave: *wave, leader: *leader })
-                    .expect("WAL append failed");
-            }
-            for o in &out {
-                log.append(&DagEvent::BlockDelivered { id: o.id, wave: o.committed_in_wave })
-                    .expect("WAL append failed");
-            }
-        }
-        self.core.deliver(out, ctx);
-    }
-
     /// The main loop of Algorithm 4 (lines 94–120), event-driven: advance
     /// through as many rounds as the current DAG and control state allow.
     fn advance(&mut self, ctx: &mut Context<'_, AsymRiderMsg, OrderedVertex>) {
@@ -304,7 +259,7 @@ impl AsymDagRider {
             }
             // Lines 100–101: crossing a wave boundary runs the commit rule.
             if cur > 0 && cur.is_multiple_of(4) {
-                self.wave_ready(cur / 4, ctx);
+                self.core.commit(&mut self.committer, &self.coin, cur / 4, ctx);
             }
             for m in self.core.advance_and_broadcast(cur + 1) {
                 ctx.broadcast(AsymRiderMsg::Arb(m));
@@ -336,9 +291,7 @@ impl AsymDagRider {
         let became_ready = !ctrl.t_ready && quorums.contains_quorum_for(me, &ctrl.confirms);
         if became_ready {
             ctrl.t_ready = true;
-            if let Some(log) = self.core.log_mut() {
-                log.append(&DagEvent::WaveConfirmed { wave }).expect("WAL append failed");
-            }
+            self.core.persist([DagEvent::WaveConfirmed { wave }]);
         }
     }
 
@@ -377,11 +330,7 @@ impl AsymDagRider {
             self.committer.delivered_waves(),
             self.delivered_blocks.iter().map(|(id, b)| (*id, b.clone())),
         );
-        self.core
-            .log_mut()
-            .expect("checked above")
-            .install_snapshot(&events)
-            .expect("WAL snapshot failed");
+        self.core.install_snapshot(&events);
     }
 
     /// Discards all in-memory state and rebuilds this process from its
@@ -399,7 +348,6 @@ impl AsymDagRider {
         self.committer = restart.committer;
         self.delivered_blocks = restart.residue;
         self.control = HashMap::new();
-        self.acked_vertices = HashSet::new();
         self.catchup = CatchUp::restarted();
         for w in restart.confirmed {
             // Mark the outbound ladder done for finished waves and instead
@@ -441,19 +389,17 @@ impl AsymDagRider {
             // replay cannot re-derive it locally), every delivery and the
             // block residue of never-received vertices *before* handing
             // outputs to the environment, as a live commit does.
-            if let Some(log) = self.core.log_mut() {
-                log.append(&DagEvent::WaveDecided { wave: seg.wave, leader: seg.leader })
-                    .expect("WAL append failed");
-                log.append(&DagEvent::WaveConfirmed { wave: seg.wave }).expect("WAL append failed");
-                for ((id, block), miss) in fresh.iter().zip(&absent) {
-                    log.append(&DagEvent::BlockDelivered { id: *id, wave: seg.wave })
-                        .expect("WAL append failed");
-                    if *miss {
-                        log.append(&DagEvent::DeliveredBlock { id: *id, block: block.clone() })
-                            .expect("WAL append failed");
-                    }
-                }
-            }
+            let (wave, leader) = (seg.wave, seg.leader);
+            let deliveries = fresh.iter().zip(&absent).flat_map(|((id, block), miss)| {
+                let residue =
+                    miss.then(|| DagEvent::DeliveredBlock { id: *id, block: block.clone() });
+                iter::once(DagEvent::BlockDelivered { id: *id, wave }).chain(residue)
+            });
+            self.core.persist(
+                [DagEvent::WaveDecided { wave, leader }, DagEvent::WaveConfirmed { wave }]
+                    .into_iter()
+                    .chain(deliveries),
+            );
             for ((id, block), miss) in fresh.iter().zip(&absent) {
                 if *miss {
                     self.core.note_pruned(*id);
@@ -513,9 +459,11 @@ impl Protocol for AsymDagRider {
                     ctx.broadcast(AsymRiderMsg::Arb(m));
                 }
                 // Line 142: ACK the creator of every delivered round-2
-                // vertex (at most once per vertex).
+                // vertex. The hub delivers each (origin, round) instance at
+                // most once and `handle_arb` admits only the vertex naming
+                // that instance, so each vertex is ACKed at most once.
                 for vid in fresh {
-                    if position_in_wave(vid.round) == 2 && self.acked_vertices.insert(vid) {
+                    if position_in_wave(vid.round) == 2 {
                         let wave = wave_of_round(vid.round);
                         ctx.send(vid.source, AsymRiderMsg::Ack { wave });
                     }
@@ -584,6 +532,7 @@ mod tests {
     use super::*;
     use asym_quorum::{maximal_guild, topology};
     use asym_sim::{scheduler, FaultMode, Simulation};
+    use std::collections::HashSet;
 
     fn pid(i: usize) -> ProcessId {
         ProcessId::new(i)

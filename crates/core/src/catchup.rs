@@ -7,12 +7,41 @@
 //!   insertion buffer stays blocked on missing parents;
 //! * **delivered-state transfer** serves a laggard below every peer's
 //!   pruning floor with certified outputs instead ([`state_chunk`] is the
-//!   donor side; see [`crate::transfer`]).
+//!   donor side).
 //!
 //! Fetched vertices and transferred segments both bypass reliable
 //! broadcast, so both pass one rule, [`KernelVotes`]. [`CatchUp`] keeps the
 //! votes and the request bookkeeping and returns what was accepted; the
 //! rider alone mutates its DAG, committer, control ladder and log.
+//!
+//! # Delivered-state transfer
+//!
+//! WAL pruning garbage-collects every delivered vertex below the decided
+//! wave, so a `Fetch`/`FetchReply` catch-up can no longer serve a peer that
+//! lags below the pruning floor — in a deployment where *every* process
+//! prunes, a deep laggard would be stuck forever. Transfer ships the
+//! delivered prefix **as certified outputs instead of DAG vertices**:
+//!
+//! 1. a peer answering a [`Fetch`](crate::AsymRiderMsg::Fetch) below its
+//!    own pruning floor adds a
+//!    [`StateOffer`](crate::AsymRiderMsg::StateOffer) ("I can ship
+//!    certified delivered state through wave `decided_wave`");
+//! 2. the recovering laggard answers each useful offer with a
+//!    [`StateRequest`](crate::AsymRiderMsg::StateRequest) naming its own
+//!    decided-wave watermark;
+//! 3. the donor replies with a [`StateChunk`](crate::AsymRiderMsg::StateChunk)
+//!    of per-wave [`WaveSegment`]s: the wave, its coin-elected leader, and
+//!    the wave's deliveries in the deterministic delivery order, blocks
+//!    included.
+//!
+//! **Asymmetric-trust acceptance.** A segment is installed only once
+//! identical copies arrived from a *kernel* (a set meeting all quorums) of
+//! the **receiver's own** quorum system, one vote per responder per wave.
+//! Such a kernel holds a process the receiver trusts, so a lone equivocator
+//! cannot forge state, and the corroboration doubles as the wave's
+//! confirmation evidence (Algorithm 5 line 131). Agreement makes honest
+//! copies bit-identical: per-wave delivery sets and their `(round, source)`
+//! order are common to every honest process that decided the wave.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -24,8 +53,52 @@ use crate::asym_rider::AsymRiderMsg;
 use crate::dagcore::{DagCore, DagLog};
 use crate::kernel_votes::KernelVotes;
 use crate::ordering::WaveCommitter;
-use crate::transfer::{TransferState, TransferStats, WaveSegment};
 use crate::types::{Block, RiderConfig};
+
+/// One transferable wave of certified delivered state: the commit-log entry
+/// plus the wave's deliveries in the deterministic delivery order.
+///
+/// Honest processes that decided `wave` agree on this segment bit for bit
+/// (same coin-elected leader, same per-wave delivery set, same
+/// `(round, source)` order, same blocks) — which is exactly what makes
+/// kernel-matched corroboration meaningful.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct WaveSegment {
+    /// The decided wave this segment carries.
+    pub wave: WaveId,
+    /// The wave of the donor's commit-log entry immediately *before* this
+    /// one (`0` for the first entry). Commit logs legitimately skip waves —
+    /// a wave whose commit rule never fired has no entry, and its history
+    /// delivers under a later wave's tag — so installs chain on the log,
+    /// not on wave arithmetic: a segment is installable exactly when its
+    /// `prev_wave` equals the receiver's decided watermark. Honest logs are
+    /// prefix-consistent, so honest donors agree on the chain; a forged
+    /// chain dies at kernel matching like any other forged field.
+    pub prev_wave: WaveId,
+    /// Its coin-elected leader (the commit-log entry).
+    pub leader: VertexId,
+    /// The wave's deliveries — `(vertex, block)` in delivery order.
+    pub deliveries: Vec<(VertexId, Block)>,
+}
+
+/// Counters of one process's delivered-state-transfer activity, for the
+/// scenario harness and the recovery experiment.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TransferStats {
+    /// `StateOffer`s received while recovering.
+    pub offers_received: u64,
+    /// `StateRequest`s sent (one per useful offerer).
+    pub requests_sent: u64,
+    /// Wave segments received inside `StateChunk`s.
+    pub segments_received: u64,
+    /// Segments dropped before voting (stale wave, wrong coin leader,
+    /// malformed delivery list).
+    pub segments_rejected: u64,
+    /// Waves installed after kernel corroboration.
+    pub waves_installed: u64,
+    /// Deliveries output by installs (fresh entries only).
+    pub deliveries_installed: u64,
+}
 
 /// A process's durable state, read back after a crash: its DAG engine,
 /// commitment state, tReady waves and block residue.
@@ -154,7 +227,8 @@ fn segment_valid(seg: &WaveSegment, decided: WaveId, coin: &CommonCoin) -> bool 
 }
 
 /// The receiver side of catch-up: kernel votes on fetched vertices and
-/// transferred segments, plus the refetch and state-request bookkeeping.
+/// transferred segments, the refetch and state-request bookkeeping, and
+/// the transfer counters.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct CatchUp {
     /// Set once restarted from the log: only then are refetches sent and
@@ -168,10 +242,27 @@ pub(crate) struct CatchUp {
     /// `true` if fetch replies added votes since the last refetch check —
     /// the signal that one more refetch round may complete a kernel.
     fetch_progress: bool,
-    transfer: TransferState,
+    /// Transferred segments awaiting identical copies from a kernel of
+    /// mine, for the lowest [`CatchUp::MAX_PENDING_WAVES`] waves.
+    segments: KernelVotes<WaveId, WaveSegment, { CatchUp::MAX_PENDING_WAVES }>,
+    /// Peers sent a `StateRequest`, with the decided-wave watermark the
+    /// request named. A peer is asked again only after the watermark has
+    /// advanced past its previous request — so requests stay bounded while
+    /// a prefix longer than the pending-wave window can still be pulled
+    /// over in installments.
+    requested: HashMap<ProcessId, WaveId>,
+    stats: TransferStats,
 }
 
 impl CatchUp {
+    /// Most pending (not yet corroborated) waves retained at once. Installs
+    /// proceed watermark-upward, so only the lowest pending waves can ever
+    /// be next — keeping the lowest `MAX_PENDING_WAVES` bounds the memory a
+    /// forged chunk full of far-future waves can pin, and a genuine prefix
+    /// longer than the window arrives in installments (the watermark
+    /// advances, peers are re-requested).
+    const MAX_PENDING_WAVES: usize = 64;
+
     /// Fresh catch-up state of a process just rebuilt from its log.
     pub(crate) fn restarted() -> Self {
         CatchUp { recovering: true, ..CatchUp::default() }
@@ -184,7 +275,7 @@ impl CatchUp {
 
     /// Delivered-state-transfer activity counters.
     pub(crate) fn transfer_stats(&self) -> TransferStats {
-        self.transfer.stats()
+        self.stats
     }
 
     /// Folds one peer's `FetchReply` vertices in and returns those now
@@ -241,16 +332,29 @@ impl CatchUp {
     }
 
     /// `true` if `from`'s offer of state through wave `offer` is worth a
-    /// `StateRequest` above `decided` (see [`TransferState::note_offer`]);
-    /// only a recovering process installs transferred state.
+    /// `StateRequest` above `decided`: only a recovering process installs
+    /// transferred state, only an offer past `decided` extends it, and each
+    /// offerer is asked at most once *per watermark* — again only after
+    /// installs advanced the watermark past its previous request.
     pub(crate) fn wants_state(&mut self, from: ProcessId, offer: WaveId, decided: WaveId) -> bool {
-        self.recovering && self.transfer.note_offer(from, offer, decided)
+        if !self.recovering {
+            return false;
+        }
+        self.stats.offers_received += 1;
+        if offer <= decided || self.requested.get(&from).is_some_and(|asked| *asked >= decided) {
+            return false;
+        }
+        self.requested.insert(from, decided);
+        self.stats.requests_sent += 1;
+        true
     }
 
     /// Folds one donor's chunk in and returns the segments now installable
-    /// above the `decided` watermark, in chain order, each vouched for by
-    /// one of `me`'s kernels. Chunks from peers never asked are dropped
-    /// before they can pin any state.
+    /// above the `decided` watermark, in chain order: each chains directly
+    /// onto the watermark before it (`prev_wave`) and is vouched for by one
+    /// of `me`'s kernels. Chunks from peers never asked are dropped before
+    /// they can pin any state, and pending waves the watermark passed are
+    /// dropped after the installs.
     pub(crate) fn on_state_chunk(
         &mut self,
         from: ProcessId,
@@ -260,31 +364,34 @@ impl CatchUp {
         quorums: &AsymQuorumSystem,
         me: ProcessId,
     ) -> Vec<WaveSegment> {
-        if !self.recovering || !self.transfer.has_requested(from) {
+        if !self.recovering || !self.requested.contains_key(&from) {
             return Vec::new();
         }
         for seg in segments {
-            self.transfer.note_received();
+            self.stats.segments_received += 1;
             if segment_valid(&seg, decided, coin) {
-                self.transfer.vote(from, seg);
+                self.segments.vote(seg.wave, from, seg);
             } else {
-                self.transfer.note_rejected();
+                self.stats.segments_rejected += 1;
             }
         }
         let mut ready = Vec::new();
-        while let Some(seg) = self.transfer.take_ready(decided, quorums, me) {
+        while let Some(seg) =
+            self.segments.take_ready(decided + 1.., quorums, me, |seg| seg.prev_wave == decided)
+        {
             decided = seg.wave;
             ready.push(seg);
         }
         if !ready.is_empty() {
-            self.transfer.discard_through(decided);
+            self.segments.discard_through(decided);
         }
         ready
     }
 
     /// Counts one installed wave with its fresh-delivery count.
     pub(crate) fn note_installed(&mut self, fresh: usize) {
-        self.transfer.note_installed(fresh);
+        self.stats.waves_installed += 1;
+        self.stats.deliveries_installed += fresh as u64;
     }
 }
 
@@ -297,6 +404,56 @@ mod tests {
 
     fn pid(i: usize) -> ProcessId {
         ProcessId::new(i)
+    }
+
+    /// Wave `wave`'s segment under `coin`, chaining onto wave `wave − 1`.
+    fn segment(coin: &CommonCoin, wave: WaveId, tx: u64) -> WaveSegment {
+        let leader = VertexId::new(round_of_wave(wave, 1), coin.leader(wave));
+        WaveSegment {
+            wave,
+            prev_wave: wave - 1,
+            leader,
+            deliveries: vec![(leader, Block::new(vec![tx]))],
+        }
+    }
+
+    #[test]
+    fn one_request_per_offerer_per_watermark() {
+        assert!(!CatchUp::default().wants_state(pid(1), 8, 5), "only a recovering process asks");
+        let mut catchup = CatchUp::restarted();
+        assert!(!catchup.wants_state(pid(1), 3, 5), "offer at or below my watermark is useless");
+        assert!(catchup.wants_state(pid(1), 8, 5));
+        assert!(!catchup.wants_state(pid(1), 9, 5), "already asked p1 at this watermark");
+        assert!(catchup.wants_state(pid(2), 8, 5));
+        assert!(catchup.requested.contains_key(&pid(1)) && catchup.requested.contains_key(&pid(2)));
+        assert!(!catchup.requested.contains_key(&pid(3)));
+        // Once installs advance the watermark, the same peer may be asked
+        // again — long prefixes arrive in installments.
+        assert!(catchup.wants_state(pid(1), 9, 7), "watermark advanced past the previous request");
+        assert_eq!(catchup.transfer_stats().offers_received, 5);
+        assert_eq!(catchup.transfer_stats().requests_sent, 3);
+    }
+
+    #[test]
+    fn discard_through_drops_stale_waves() {
+        let t = topology::uniform_threshold(4, 1);
+        let coin = CommonCoin::new(42, 4);
+        let mut catchup = CatchUp::restarted();
+        let chunk = |catchup: &mut CatchUp, from, segments, decided| {
+            catchup.on_state_chunk(pid(from), segments, decided, &coin, &t.quorums, pid(0))
+        };
+        assert!(chunk(&mut catchup, 1, vec![segment(&coin, 1, 1)], 0).is_empty(), "unsolicited");
+        for from in [1, 2] {
+            assert!(catchup.wants_state(pid(from), 3, 0));
+        }
+        let first = (1..=3).map(|w| segment(&coin, w, w)).collect();
+        assert!(chunk(&mut catchup, 1, first, 0).is_empty(), "one voucher is never a kernel");
+        assert_eq!(catchup.segments.len(), 3);
+        // Kernel-vouched, but wave 3 chains onto wave 2, not onto wave 1.
+        assert!(chunk(&mut catchup, 2, vec![segment(&coin, 3, 3)], 1).is_empty());
+        let ready = chunk(&mut catchup, 2, vec![], 2);
+        assert_eq!(ready, [segment(&coin, 3, 3)]);
+        assert_eq!(catchup.segments.len(), 0, "waves 1 and 2 lie below the new watermark");
     }
 
     #[test]

@@ -1,16 +1,20 @@
 //! Vertex lifecycle shared by both DAG-Rider variants: reliable-broadcast
 //! dissemination, buffering until the causal history is complete, insertion,
-//! and new-vertex creation with strong/weak edges (Algorithm 4, lines 78–98
-//! and Algorithm 6, lines 137–143).
+//! new-vertex creation with strong/weak edges (Algorithm 4, lines 78–98
+//! and Algorithm 6, lines 137–143), the wave commit both variants run
+//! (Algorithm 6, lines 146–169), and every write to the write-ahead log.
 
 use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::iter;
 
 use asym_broadcast::{BcastMsg, BroadcastHub};
-use asym_dag::{DagStore, Round, Vertex, VertexId};
+use asym_crypto::CommonCoin;
+use asym_dag::{DagStore, Round, Vertex, VertexId, WaveId};
 use asym_quorum::{AsymQuorumSystem, ProcessId, ProcessSet};
 use asym_sim::Context;
 use asym_storage::{DagEvent, EventLog, RecoveredState, StorageBackend};
 
+use crate::ordering::WaveCommitter;
 use crate::types::{Block, OrderedVertex, RiderConfig, RiderMetrics};
 
 /// The write-ahead log type the consensus processes persist to: typed DAG
@@ -19,8 +23,10 @@ pub type DagLog = EventLog<Block, StorageBackend>;
 
 /// The DAG-construction engine of one process: owns the local DAG, the
 /// arb hub for vertex dissemination, the insertion buffer and the block
-/// queue. It admits only [valid](DagCore::is_valid) vertices; the protocol
-/// variants supply the round-advance and commit rules.
+/// queue. It admits only [valid](DagCore::is_valid) vertices, runs the
+/// [commit](DagCore::commit) both variants share, and is the only writer
+/// of the attached log; the protocol variants supply the round-advance
+/// rules.
 #[derive(Clone, Debug)]
 pub struct DagCore {
     me: ProcessId,
@@ -87,10 +93,21 @@ impl DagCore {
         self.log.as_ref()
     }
 
-    /// Mutable access to the attached log (wave/delivery events, snapshot
-    /// installation).
-    pub fn log_mut(&mut self) -> Option<&mut DagLog> {
-        self.log.as_mut()
+    /// Appends `events` to the attached log, in order, or does nothing —
+    /// without pulling a single event — when there is none. Callers persist
+    /// outputs *before* handing them to the environment: on replay, an
+    /// output the log lacks was never observable, and one it has is never
+    /// repeated. Panics if an append fails (fail-stop).
+    pub fn persist(&mut self, events: impl IntoIterator<Item = DagEvent<Block>>) {
+        persist_to(&mut self.log, events);
+    }
+
+    /// Replaces the attached log's contents with the snapshot `events`, if
+    /// there is a log. Panics if the snapshot cannot be written (fail-stop).
+    pub fn install_snapshot(&mut self, events: &[DagEvent<Block>]) {
+        if let Some(log) = &mut self.log {
+            log.install_snapshot(events).expect("WAL snapshot failed");
+        }
     }
 
     /// Detaches and returns the log — the durable bytes that survive a
@@ -119,11 +136,6 @@ impl DagCore {
         let mut m = self.metrics;
         m.round = self.round;
         m
-    }
-
-    /// Mutable access to the counters (for the protocol variants).
-    pub fn metrics_mut(&mut self) -> &mut RiderMetrics {
-        &mut self.metrics
     }
 
     /// The quorum system of every process, shared with the arb hub.
@@ -200,12 +212,7 @@ impl DagCore {
                     let id = v.id();
                     let log = &mut self.log;
                     let hook = |v: &Vertex<Block>| {
-                        if let Some(log) = log {
-                            // A process that cannot persist must stop
-                            // (fail-stop) rather than diverge from its log.
-                            log.append(&DagEvent::VertexInserted(v.clone()))
-                                .expect("WAL append failed");
-                        }
+                        persist_to(log, iter::once_with(|| DagEvent::VertexInserted(v.clone())));
                     };
                     match self.dag.insert_with(v, hook) {
                         Ok(()) => {
@@ -294,6 +301,41 @@ impl DagCore {
     /// the round bound and its causal history allow.
     pub fn accept_fetched(&mut self, v: Vertex<Block>) {
         self.buffer.push(v);
+    }
+
+    /// Runs `waveReady(w)` (Algorithm 6, lines 146–169) unless wave `w` is
+    /// already decided: the coin-elected leader commits when all round-4
+    /// vertices of some quorum of *any* process (line 148) reach it by
+    /// strong paths. The outcome is counted; the decisions and deliveries
+    /// are [persisted](DagCore::persist), then delivered.
+    pub fn commit<M>(
+        &mut self,
+        committer: &mut WaveCommitter,
+        coin: &CommonCoin,
+        w: WaveId,
+        ctx: &mut Context<'_, M, OrderedVertex>,
+    ) {
+        if w <= committer.decided_wave() {
+            return;
+        }
+        let quorums = self.hub.quorums();
+        let mut out = Vec::new();
+        let commits_before = committer.log().len();
+        let outcome = committer.wave_ready(
+            &self.dag,
+            coin,
+            w,
+            |supporters| quorums.contains_quorum_for_any(supporters).is_some(),
+            &mut out,
+        );
+        self.metrics.count_wave(outcome);
+        let decided = committer.log()[commits_before..]
+            .iter()
+            .map(|&(wave, leader)| DagEvent::WaveDecided { wave, leader });
+        let delivered =
+            out.iter().map(|o| DagEvent::BlockDelivered { id: o.id, wave: o.committed_in_wave });
+        self.persist(decided.chain(delivered));
+        self.deliver(out, ctx);
     }
 
     /// Hands atomically delivered vertices to the environment, counting
@@ -424,6 +466,16 @@ impl DagCore {
             }
         }
         true
+    }
+}
+
+/// [`DagCore::persist`], callable from the insert hook while the DAG is
+/// borrowed.
+fn persist_to(log: &mut Option<DagLog>, events: impl IntoIterator<Item = DagEvent<Block>>) {
+    if let Some(log) = log {
+        for event in events {
+            log.append(&event).expect("WAL append failed");
+        }
     }
 }
 

@@ -81,6 +81,7 @@ impl<K: Ord + Copy, V: Eq, const WINDOW: usize> KernelVotes<K, V, WINDOW> {
     }
 
     /// Number of keys with pending votes.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.votes.len()
     }

@@ -20,7 +20,7 @@
 //!   the process replays it and catches up without ever delivering a block
 //!   twice: it fetches missed vertices from peers or, below every peer's
 //!   pruning floor, installs the delivered prefix as certified outputs
-//!   ([`transfer`]). Both paths accept evidence only when a kernel of the
+//!   ([`WaveSegment`]s). Both paths accept evidence only when a kernel of the
 //!   receiver's own quorum system vouches for it, through one crate-private
 //!   `KernelVotes` tally; the catch-up logic lives apart from Algorithms
 //!   4–6 in the private `catchup` module. `docs/ARCHITECTURE.md` at the
@@ -55,12 +55,11 @@ mod dagcore;
 mod kernel_votes;
 mod ordering;
 mod rider;
-pub mod transfer;
 mod types;
 
 pub use asym_rider::{AsymDagRider, AsymRiderMsg};
+pub use catchup::{TransferStats, WaveSegment};
 pub use dagcore::{DagCore, DagLog};
 pub use ordering::{CommitOutcome, WaveCommitter};
 pub use rider::DagRider;
-pub use transfer::{TransferState, TransferStats, WaveSegment};
 pub use types::{Block, OrderedVertex, RiderConfig, RiderMetrics, Tx};

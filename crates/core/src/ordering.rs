@@ -136,6 +136,28 @@ impl WaveCommitter {
     ///
     /// Panics if `wave` is not beyond the decided wave — installs must be
     /// contiguous and forward-only.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use asym_core::{Block, WaveCommitter, WaveSegment};
+    /// use asym_dag::VertexId;
+    /// use asym_quorum::ProcessId;
+    ///
+    /// // A segment one of the receiver's kernels vouched for, chaining onto
+    /// // an empty commit log.
+    /// let leader = VertexId::new(1, ProcessId::new(2));
+    /// let deliveries = vec![(leader, Block::new(vec![7]))];
+    /// let seg = WaveSegment { wave: 1, prev_wave: 0, leader, deliveries };
+    /// let mut committer = WaveCommitter::new();
+    /// assert_eq!(committer.install_wave(seg.wave, seg.leader, &seg.deliveries).len(), 1);
+    /// assert!(committer.is_delivered(leader));
+    /// assert_eq!(committer.decided_wave(), 1);
+    /// // Installing the same deliveries again delivers nothing new.
+    /// let next = VertexId::new(5, ProcessId::new(0));
+    /// assert!(committer.install_wave(2, next, &seg.deliveries).is_empty());
+    /// assert_eq!(committer.log(), [(1, leader), (2, next)]);
+    /// ```
     pub fn install_wave(
         &mut self,
         wave: WaveId,

@@ -9,7 +9,8 @@
 //! A threshold is the uniform asymmetric quorum system whose quorums are the
 //! `n − f`-sets, so the baseline runs on
 //! [`AsymDagRider`](crate::AsymDagRider)'s quorum predicates: the same
-//! vertex-validity rule (in [`DagCore`]), round-advance rule and commit rule.
+//! vertex-validity rule, round-advance rule and commit rule
+//! ([`DagCore::commit`]).
 //! It differs only in lacking the ACK/READY/CONFIRM ladder that gates the
 //! asymmetric protocol's move from round 2 to round 3.
 //!
@@ -83,25 +84,6 @@ impl DagRider {
         &self.committer
     }
 
-    /// Runs `waveReady(w)` with the DAG-Rider commit rule: a quorum
-    /// (`n − f`) of round-4 vertices with strong paths to the leader.
-    fn wave_ready(&mut self, w: WaveId, ctx: &mut Context<'_, AsymRiderMsg, OrderedVertex>) {
-        if w <= self.committer.decided_wave() {
-            return;
-        }
-        let quorums = self.core.quorums();
-        let mut out = Vec::new();
-        let outcome = self.committer.wave_ready(
-            self.core.dag(),
-            &self.coin,
-            w,
-            |supporters| quorums.contains_quorum_for_any(supporters).is_some(),
-            &mut out,
-        );
-        self.core.metrics_mut().count_wave(outcome);
-        self.core.deliver(out, ctx);
-    }
-
     fn advance(&mut self, ctx: &mut Context<'_, AsymRiderMsg, OrderedVertex>) {
         loop {
             self.core.drain_buffer();
@@ -114,7 +96,7 @@ impl DagRider {
                 break;
             }
             if cur > 0 && cur.is_multiple_of(4) {
-                self.wave_ready(cur / 4, ctx);
+                self.core.commit(&mut self.committer, &self.coin, cur / 4, ctx);
             }
             for m in self.core.advance_and_broadcast(cur + 1) {
                 ctx.broadcast(AsymRiderMsg::Arb(m));

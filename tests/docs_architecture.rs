@@ -1,7 +1,7 @@
 //! Keeps `docs/ARCHITECTURE.md` honest: the `DagEvent` table there must
-//! list exactly the variants of the real enum, and the checkers the table
-//! cites must exist in the standard suite. Fails CI on drift instead of
-//! letting the persistence documentation rot.
+//! list exactly the variants of the real enum, the emitters it names must
+//! exist, and the checkers it cites must exist in the standard suite. Fails
+//! CI on drift instead of letting the persistence documentation rot.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -102,6 +102,51 @@ fn cited_checkers_exist_in_the_standard_suite() {
             }
         }
     }
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_sources(dir: &Path, out: &mut Vec<String>) {
+    for entry in std::fs::read_dir(dir).expect("readable source tree") {
+        let path = entry.expect("readable entry").path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(std::fs::read_to_string(&path).expect("readable source"));
+        }
+    }
+}
+
+#[test]
+fn named_emitters_are_functions_of_their_types() {
+    let doc = read("docs/ARCHITECTURE.md");
+    let variants = enum_variants();
+    let mut sources = Vec::new();
+    rust_sources(&Path::new(env!("CARGO_MANIFEST_DIR")).join("crates"), &mut sources);
+    let mut emitters = 0;
+    for line in doc.lines() {
+        let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+        let [_, variant, emitted_by, ..] = cells[..] else { continue };
+        let variant = variant.trim_matches('`');
+        if !variants.contains(variant) {
+            continue;
+        }
+        // Every backticked `Type::method` in the "emitted by" column must be
+        // a `fn method` in a source file that implements `Type`.
+        for token in emitted_by.split('`').skip(1).step_by(2) {
+            let Some((ty, method)) = token.split_once("::") else { continue };
+            let defines = |src: &String| {
+                (src.contains(&format!("impl {ty} ")) || src.contains(&format!("for {ty} ")))
+                    && (src.contains(&format!("fn {method}("))
+                        || src.contains(&format!("fn {method}<")))
+            };
+            assert!(
+                sources.iter().any(defines),
+                "docs/ARCHITECTURE.md names emitter `{token}` of `{variant}`, but no file under crates/ defines it"
+            );
+            emitters += 1;
+        }
+    }
+    assert!(emitters >= 6, "parser self-check: expected ≥6 named emitters, found {emitters}");
 }
 
 #[test]
