@@ -12,7 +12,8 @@
 //! Fetched vertices and transferred segments both bypass reliable
 //! broadcast, so both pass one rule, [`KernelVotes`]. [`CatchUp`] keeps the
 //! votes and the request bookkeeping and returns what was accepted; the
-//! rider alone mutates its DAG, committer, control ladder and log.
+//! rider alone mutates its DAG, committer and control ladder, and its
+//! [`DagCore`] alone writes the log.
 //!
 //! # Delivered-state transfer
 //!

@@ -40,8 +40,8 @@ impl Block {
 }
 
 impl Block {
-    /// Canonical byte encoding (little-endian transaction ids), for
-    /// content digests.
+    /// Canonical byte encoding (little-endian transaction ids), as the
+    /// write-ahead log stores it.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         asym_storage::BlockCodec::encode_block(self, &mut out);

@@ -15,9 +15,11 @@
 //! uniformly onto the process set. Matching holds because the seed is shared;
 //! unpredictability holds in the simulation because adversarial schedulers
 //! are seeded independently of (and fixed before) the coin seed; termination
-//! is immediate. The [`CoinTracker`] additionally enforces the reveal
-//! discipline DAG-Rider relies on: a process may query the coin for wave `w`
-//! only once its own wave-`w` gather finished.
+//! is immediate. Nothing enforces DAG-Rider's reveal discipline (query the
+//! coin for wave `w` only once the wave finished), and one caller could not
+//! follow it: delivered-state transfer checks a segment's leader against the
+//! coin for waves the receiver never finished. The simulated coin allows
+//! this because no scheduler reads it.
 
 use asym_quorum::ProcessId;
 
@@ -77,51 +79,6 @@ impl CommonCoin {
     }
 }
 
-/// Enforces the coin-reveal discipline: a wave's coin may be queried only
-/// after the caller has *released* that wave (finished its gather), mirroring
-/// DAG-Rider's rule of revealing the coin only when enough processes finished
-/// the wave.
-///
-/// This is a per-process guard used by the consensus implementations; it
-/// turns accidental premature queries into panics in tests rather than
-/// silent unsound executions.
-#[derive(Clone, Debug)]
-pub struct CoinTracker {
-    coin: CommonCoin,
-    released_up_to: u64,
-}
-
-impl CoinTracker {
-    /// Wraps a coin with the reveal guard; initially no wave is released.
-    pub fn new(coin: CommonCoin) -> Self {
-        CoinTracker { coin, released_up_to: 0 }
-    }
-
-    /// Marks `wave` (and everything below) as released.
-    pub fn release(&mut self, wave: u64) {
-        self.released_up_to = self.released_up_to.max(wave);
-    }
-
-    /// Highest released wave (0 = none).
-    pub fn released(&self) -> u64 {
-        self.released_up_to
-    }
-
-    /// Queries the leader of `wave`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wave` has not been released — a protocol bug.
-    pub fn leader(&self, wave: u64) -> ProcessId {
-        assert!(
-            wave <= self.released_up_to,
-            "coin for wave {wave} queried before release (released up to {})",
-            self.released_up_to
-        );
-        self.coin.leader(wave)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,24 +115,6 @@ mod tests {
         for (i, c) in counts.iter().enumerate() {
             assert!((650..=1350).contains(c), "process {i} drawn {c} times out of {draws}");
         }
-    }
-
-    #[test]
-    fn tracker_allows_released_waves() {
-        let mut t = CoinTracker::new(CommonCoin::new(5, 4));
-        t.release(3);
-        let _ = t.leader(1);
-        let _ = t.leader(3);
-        assert_eq!(t.released(), 3);
-        t.release(1); // does not regress
-        assert_eq!(t.released(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "queried before release")]
-    fn tracker_panics_on_premature_query() {
-        let t = CoinTracker::new(CommonCoin::new(5, 4));
-        let _ = t.leader(1);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //!
 //! The offline build policy disallows external crypto crates, so [`Sha256`]
 //! is implemented from scratch (validated against NIST vectors). [`Digest`]
-//! is the 32-byte identity used for DAG vertices; [`CommonCoin`] /
-//! [`CoinTracker`] provide the shared-randomness leader election that
-//! DAG-Rider-style protocols require (see `DESIGN.md` §4 for the substitution
-//! argument relative to the paper's threshold-cryptography coin).
+//! is the 32-byte digest type; [`CommonCoin`] provides the shared-randomness
+//! leader election that DAG-Rider-style protocols require (see `DESIGN.md`
+//! §4 for the substitution argument relative to the paper's
+//! threshold-cryptography coin).
 //!
 //! ```
 //! use asym_crypto::{sha256, CommonCoin};
@@ -23,6 +23,6 @@ mod coin;
 mod digest;
 mod sha256;
 
-pub use coin::{CoinTracker, CommonCoin};
+pub use coin::CommonCoin;
 pub use digest::Digest;
 pub use sha256::{sha256, Sha256};

@@ -6,7 +6,6 @@
 //! the same source in the same round — `(source, round)` is a sound vertex
 //! identity (the certified-DAG property DAG-Rider relies on).
 
-use asym_crypto::{Digest, Sha256};
 use asym_quorum::{ProcessId, ProcessSet};
 
 /// Round number; round 0 holds the hard-coded genesis vertices.
@@ -137,26 +136,6 @@ impl<B> Vertex<B> {
     }
 }
 
-impl<B: AsRef<[u8]>> Vertex<B> {
-    /// Content digest of the vertex (block + edges + identity); the identity
-    /// a production implementation would sign and reference.
-    pub fn digest(&self) -> Digest {
-        let mut h = Sha256::new();
-        h.update(b"asym-dag-rider/vertex/v1");
-        h.update(&(self.source.index() as u64).to_be_bytes());
-        h.update(&self.round.to_be_bytes());
-        h.update(self.block.as_ref());
-        for s in &self.strong_edges {
-            h.update(&(s.index() as u64).to_be_bytes());
-        }
-        for w in &self.weak_edges {
-            h.update(&w.round.to_be_bytes());
-            h.update(&(w.source.index() as u64).to_be_bytes());
-        }
-        h.finalize()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,16 +189,6 @@ mod tests {
     #[should_panic(expected = "genesis")]
     fn genesis_with_edges_rejected() {
         let _ = Vertex::new(pid(0), 0, Vec::<u8>::new(), ProcessSet::from_indices([1]), Vec::new());
-    }
-
-    #[test]
-    fn digest_changes_with_content() {
-        let mk = |block: &[u8], round| {
-            Vertex::new(pid(1), round, block.to_vec(), ProcessSet::from_indices([0]), vec![])
-        };
-        assert_ne!(mk(b"a", 2).digest(), mk(b"b", 2).digest());
-        assert_ne!(mk(b"a", 2).digest(), mk(b"a", 3).digest());
-        assert_eq!(mk(b"a", 2).digest(), mk(b"a", 2).digest());
     }
 
     #[test]

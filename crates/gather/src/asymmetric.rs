@@ -134,16 +134,6 @@ impl<V: Clone + Eq + std::hash::Hash + core::fmt::Debug> AsymGather<V> {
         }
     }
 
-    /// The current `S` set (candidate common core).
-    pub fn s_set(&self) -> &ValueSet<V> {
-        &self.s
-    }
-
-    /// The delivered `U` set, if `ag-deliver` fired.
-    pub fn delivered_set(&self) -> Option<&ValueSet<V>> {
-        self.delivered.then_some(&self.u)
-    }
-
     /// `true` once this process has sent its `T` set (and therefore stopped
     /// acknowledging `DISTRIBUTE_S` messages).
     pub fn sent_t(&self) -> bool {

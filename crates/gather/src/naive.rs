@@ -91,11 +91,6 @@ impl<V: Clone + Eq + std::hash::Hash + core::fmt::Debug> NaiveGather<V> {
         }
     }
 
-    /// The delivered final set (`U` for Algorithm 2), if `ag-deliver` fired.
-    pub fn delivered_set(&self) -> Option<&ValueSet<V>> {
-        self.delivered.then(|| self.sets.last().expect("rounds ≥ 2"))
-    }
-
     fn advance(&mut self, ctx: &mut Context<'_, NaiveGatherMsg<V>, ValueSet<V>>) {
         // Level k fires on a quorum behind the level-(k−1) set: arb-delivered
         // values for k = 1, distribute messages above. Delivery fires on a

@@ -187,15 +187,6 @@ impl ProcessSet {
         }
     }
 
-    /// In-place intersection.
-    pub fn intersect_with(&mut self, other: &Self) {
-        self.blocks.truncate(other.blocks.len());
-        for (b, o) in self.blocks.iter_mut().zip(&other.blocks) {
-            *b &= o;
-        }
-        self.normalize();
-    }
-
     /// In-place difference (removes all members of `other`).
     pub fn subtract(&mut self, other: &Self) {
         for (b, o) in self.blocks.iter_mut().zip(&other.blocks) {

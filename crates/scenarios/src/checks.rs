@@ -61,8 +61,9 @@ pub fn standard_checks() -> Vec<(&'static str, CheckFn)> {
 /// An invariant violation, carrying the scenario tuple that reproduces it.
 #[derive(Clone, Debug)]
 pub struct ScenarioFailure {
-    /// The failing scenario (replay with [`replay`]).
-    pub scenario: Scenario,
+    /// The failing scenario (replay with [`replay`]), boxed so a `Result`
+    /// carrying a failure stays small.
+    pub scenario: Box<Scenario>,
     /// Name of the violated invariant.
     pub check: &'static str,
     /// What went wrong.
@@ -110,7 +111,7 @@ pub fn run_and_check(
     checks: &[(&'static str, CheckFn)],
 ) -> Result<ScenarioOutcome, ScenarioFailure> {
     let outcome = scenario.try_run().map_err(|e| ScenarioFailure {
-        scenario: scenario.clone(),
+        scenario: Box::new(scenario.clone()),
         check: "build",
         detail: e.to_string(),
     })?;
@@ -129,7 +130,7 @@ pub fn check_outcome(
 ) -> Result<(), ScenarioFailure> {
     for (name, check) in checks {
         check(outcome).map_err(|detail| ScenarioFailure {
-            scenario: outcome.scenario.clone(),
+            scenario: Box::new(outcome.scenario.clone()),
             check: name,
             detail,
         })?;

@@ -37,7 +37,7 @@
 //!
 //! The **all-pruned** axis ([`Scenario::wal_everywhere`]) equips every
 //! honest process with a pruning WAL, so a deep laggard can only rejoin
-//! through delivered-state transfer (`asym_core::transfer`) — with
+//! through delivered-state transfer (`asym_core::WaveSegment`s) — with
 //! [`ByzAttack::ForgeStateOffers`] probing the kernel-matched install and
 //! [`checks::state_transfer_consistency`] proving installed prefixes equal
 //! an honest delivered prefix bit-for-bit. The persistence & recovery

@@ -54,14 +54,16 @@ fn all_adversaries(n: usize) -> Vec<Adversary> {
     ]
 }
 
+/// Per-process relay outputs: the observable image of the delivery order.
+type Outputs = Vec<Vec<(ProcessId, u8, u64)>>;
+
 /// Runs the relay protocol under one adversary and returns per-process
-/// outputs (the observable image of the delivery order) plus leftover
-/// `(from, to)` endpoints.
+/// outputs plus leftover `(from, to)` endpoints.
 fn run(
     n: usize,
     adversary: &Adversary,
     faults: &[(usize, FaultMode)],
-) -> (Vec<Vec<(ProcessId, u8, u64)>>, Vec<(ProcessId, ProcessId)>) {
+) -> (Outputs, Vec<(ProcessId, ProcessId)>) {
     let procs = vec![Relay; n];
     let mut sim = Simulation::new(procs, adversary.build())
         .with_faults(faults.iter().map(|(i, m)| (pid(*i), *m)));

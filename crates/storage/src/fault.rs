@@ -198,7 +198,7 @@ impl<S: Storage> FaultyStorage<S> {
         if dropped > 0 {
             let (first_start, first_end) = frames[frames.len() - dropped];
             let mut new_log = log[..first_start].to_vec();
-            if rng.next() % 2 == 0 {
+            if rng.next().is_multiple_of(2) {
                 let frame = &log[first_start..first_end];
                 let torn = 1 + (rng.next() as usize) % (frame.len() - 1);
                 new_log.extend_from_slice(&frame[..torn]);

@@ -33,7 +33,7 @@ pub const RECORD_HEADER_BYTES: usize = 4 + 8;
 
 /// FNV-1a 64-bit checksum — small, fast, dependency-free, and plenty to
 /// detect torn writes and bit rot (this is not a cryptographic integrity
-/// boundary; vertices carry content digests at the protocol layer).
+/// boundary).
 #[must_use]
 pub fn checksum(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

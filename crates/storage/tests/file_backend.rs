@@ -7,7 +7,7 @@
 
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use asym_dag::{Vertex, VertexId};
 use asym_quorum::{ProcessId, ProcessSet};
@@ -24,7 +24,7 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn wal_log_path(dir: &PathBuf) -> PathBuf {
+fn wal_log_path(dir: &Path) -> PathBuf {
     dir.join("wal.log")
 }
 

@@ -23,8 +23,11 @@ fn event_from_seed(seed: u64) -> DagEvent<Vec<u8>> {
         0 => {
             let round = 2 + a; // ≥2 so weak edges to round 0 are legal
             let strong = ProcessSet::from_indices((0..=(b as usize % 4)).collect::<Vec<_>>());
-            let weak =
-                if b % 2 == 0 { vec![VertexId::new(0, pid(a as usize % 4))] } else { vec![] };
+            let weak = if b.is_multiple_of(2) {
+                vec![VertexId::new(0, pid(a as usize % 4))]
+            } else {
+                vec![]
+            };
             let block: Vec<u8> = (0..(seed % 17) as u8).collect();
             DagEvent::VertexInserted(Vertex::new(pid(b as usize), round, block, strong, weak))
         }

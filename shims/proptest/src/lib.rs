@@ -447,7 +447,7 @@ mod tests {
         ) {
             prop_assume!(a != 13);
             prop_assert!(a < 50);
-            prop_assert_eq!(v.len(), v.iter().count());
+            prop_assert!(v.len() < 8 && v.iter().all(|x| *x < 10));
             if a == usize::MAX {
                 return Ok(());
             }

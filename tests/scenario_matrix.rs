@@ -178,7 +178,7 @@ fn forced_failure_reports_a_tuple_that_reproduces_the_run_exactly() {
     let failure =
         checks::run_and_check(&scenario, &[("impossible", impossible)]).expect_err("forced");
     assert_eq!(failure.check, "impossible");
-    assert_eq!(failure.scenario, scenario, "the reported tuple is the executed one");
+    assert_eq!(*failure.scenario, scenario, "the reported tuple is the executed one");
     let report = failure.to_string();
     for needle in ["ripple(n=10,unl=8,f=1)", "crash(p4)", "random", "seed=31", "replay"] {
         assert!(report.contains(needle), "failure report missing {needle:?}:\n{report}");
