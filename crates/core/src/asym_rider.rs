@@ -876,6 +876,80 @@ mod tests {
         );
     }
 
+    /// Steps `sim` to quiescence and, after every step, checks that each
+    /// process is at `advance`'s fixpoint: one more call sends nothing,
+    /// outputs nothing and leaves the round, the DAG and the buffer as they
+    /// are. `on_message` skips `advance` after a broadcast step that
+    /// delivered no vertex on the strength of this. Returns the finished
+    /// simulation.
+    fn assert_advance_fixpoint(
+        mut sim: Simulation<AsymDagRider, scheduler::Random>,
+    ) -> Simulation<AsymDagRider, scheduler::Random> {
+        let n = sim.n();
+        let mut step = 0;
+        loop {
+            for i in 0..n {
+                let mut probe = sim.process(pid(i)).clone();
+                let core = &probe.core;
+                let before = (core.round(), core.dag().len(), core.buffer_len());
+                let (mut sends, mut outputs) = (Vec::new(), Vec::new());
+                probe.advance(&mut Context::new(pid(i), n, sim.now(), &mut sends, &mut outputs));
+                let core = &probe.core;
+                let after = (core.round(), core.dag().len(), core.buffer_len());
+                assert!(sends.is_empty(), "step {step}: p{i} advanced and sent {}", sends.len());
+                assert!(outputs.is_empty(), "step {step}: p{i} advanced and output");
+                assert_eq!(before, after, "step {step}: p{i} (round, DAG, buffer) moved");
+            }
+            if !sim.step() {
+                break;
+            }
+            step += 1;
+        }
+        assert!(step > 0);
+        sim
+    }
+
+    #[test]
+    fn advance_is_at_its_fixpoint_after_every_step() {
+        for (t, seed) in
+            [(topology::uniform_threshold(4, 1), 1), (topology::ripple_unl(7, 6, 1), 2)]
+        {
+            let mut sim = Simulation::new(cluster(&t, 3), scheduler::Random::new(seed));
+            for i in 0..t.n() {
+                sim.input(pid(i), Block::new(vec![i as u64]));
+            }
+            let sim = assert_advance_fixpoint(sim);
+            assert!(!sim.outputs(pid(0)).is_empty(), "seed {seed}: nothing ordered");
+        }
+    }
+
+    #[test]
+    fn advance_is_at_its_fixpoint_with_pruning_wal_and_restarts() {
+        use asym_storage::StorageBackend;
+        let t = topology::uniform_threshold(7, 2);
+        let config = RiderConfig { max_waves: 4, prune_wal: true };
+        for seed in 1..3 {
+            let procs = (0..t.n())
+                .map(|i| {
+                    let log = DagLog::new(StorageBackend::in_memory()).with_snapshot_every(16);
+                    AsymDagRider::new(pid(i), t.quorums.clone(), 42, config).with_storage(log)
+                })
+                .collect();
+            let mut sim = Simulation::new(procs, scheduler::Random::new(seed))
+                .with_fault(pid(2), FaultMode::RestartAfter { crash_at: 300, recover_at: 1500 })
+                .with_fault(pid(5), FaultMode::RestartAfter { crash_at: 900, recover_at: 2500 });
+            for i in 0..t.n() {
+                sim.input(pid(i), Block::new(vec![i as u64]));
+            }
+            let sim = assert_advance_fixpoint(sim);
+            for r in [2, 5] {
+                assert!(sim.process(pid(r)).has_recovered(), "seed {seed}: p{r} never restarted");
+            }
+            let pruned = (0..t.n()).filter(|&i| sim.process(pid(i)).dag().pruned_floor() > 0);
+            assert!(pruned.count() > 0, "seed {seed}: nothing was pruned");
+        }
+    }
+
     #[test]
     fn figure1_topology_runs() {
         // The 30-process counterexample system is a valid quorum system; the

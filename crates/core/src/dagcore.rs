@@ -296,6 +296,12 @@ impl DagCore {
         self.dag.contains(id) || self.dag.is_pruned(id) || self.buffer.iter().any(|b| b.id() == id)
     }
 
+    /// Number of vertices waiting in the insertion buffer.
+    #[cfg(test)]
+    pub(crate) fn buffer_len(&self) -> usize {
+        self.buffer.len()
+    }
+
     /// Buffers a fetched vertex that a kernel vouched for and that is not
     /// [known](DagCore::knows); like an arb delivery, it is inserted once
     /// the round bound and its causal history allow.

@@ -244,6 +244,45 @@ mod tests {
         }
     }
 
+    /// After every step of a run, one more `advance` of any process sends
+    /// nothing, outputs nothing and leaves the round, the DAG and the buffer
+    /// as they are: `on_message` skips `advance` after a broadcast step that
+    /// delivered no vertex on the strength of this.
+    #[test]
+    fn advance_is_at_its_fixpoint_after_every_step() {
+        for (n, f, seed) in [(4, 1, 1), (7, 2, 2)] {
+            let mut sim = Simulation::new(cluster(n, f, 3), scheduler::Random::new(seed));
+            for i in 0..n {
+                sim.input(pid(i), Block::new(vec![i as u64]));
+            }
+            let mut step = 0;
+            loop {
+                for i in 0..n {
+                    let mut probe = sim.process(pid(i)).clone();
+                    let core = &probe.core;
+                    let before = (core.round(), core.dag().len(), core.buffer_len());
+                    let (mut sends, mut outputs) = (Vec::new(), Vec::new());
+                    let mut ctx = Context::new(pid(i), n, sim.now(), &mut sends, &mut outputs);
+                    probe.advance(&mut ctx);
+                    let core = &probe.core;
+                    let after = (core.round(), core.dag().len(), core.buffer_len());
+                    assert!(
+                        sends.is_empty(),
+                        "step {step}: p{i} advanced and sent {}",
+                        sends.len()
+                    );
+                    assert!(outputs.is_empty(), "step {step}: p{i} advanced and output");
+                    assert_eq!(before, after, "step {step}: p{i} (round, DAG, buffer) moved");
+                }
+                if !sim.step() {
+                    break;
+                }
+                step += 1;
+            }
+            assert!(!sim.outputs(pid(0)).is_empty(), "n = {n}: nothing ordered");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "n > 3f")]
     fn rejects_unsound_threshold() {
