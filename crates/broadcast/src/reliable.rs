@@ -80,7 +80,8 @@ pub struct Delivery<T> {
 /// hashing of (possibly large) values and no clone of the value as a map
 /// key on every vote. Values are matched by content, so separately
 /// allocated copies of one value share a tally; for shared payloads such as
-/// `Arc`, equality short-circuits on pointer identity first. A sender may
+/// `Arc` (and a DAG vertex, which is one), equality short-circuits on
+/// pointer identity first. A sender may
 /// appear under several values (an equivocator's echoes count for each).
 #[derive(Clone, Debug)]
 struct Tally<T>(Vec<(T, ProcessSet)>);

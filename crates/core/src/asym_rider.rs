@@ -452,12 +452,19 @@ impl Protocol for AsymDagRider {
         msg: Self::Msg,
         ctx: &mut Context<'_, Self::Msg, Self::Output>,
     ) {
+        // `advance` runs to its fixpoint whenever a handler returns, so
+        // only a message that changes what it reads needs another pass: any
+        // non-`Arb` message, and an `Arb` step that delivered a vertex. One
+        // that delivered nothing left the buffer, the DAG, the round and the
+        // control map as they were.
+        let mut advance = true;
         match msg {
             AsymRiderMsg::Arb(inner) => {
                 let (out, fresh) = self.core.handle_arb(from, inner);
                 for m in out {
                     ctx.broadcast(AsymRiderMsg::Arb(m));
                 }
+                advance = !fresh.is_empty();
                 // Line 142: ACK the creator of every delivered round-2
                 // vertex. The hub delivers each (origin, round) instance at
                 // most once and `handle_arb` admits only the vertex naming
@@ -519,7 +526,9 @@ impl Protocol for AsymDagRider {
                 self.install(ready, ctx);
             }
         }
-        self.advance(ctx);
+        if advance {
+            self.advance(ctx);
+        }
         if let Some(floor) = self.catchup.refetch_floor(|| self.core.missing_parents()) {
             ctx.broadcast(AsymRiderMsg::Fetch { above_round: floor });
         }

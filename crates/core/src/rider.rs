@@ -126,11 +126,15 @@ impl Protocol for DagRider {
         ctx: &mut Context<'_, Self::Msg, Self::Output>,
     ) {
         let AsymRiderMsg::Arb(inner) = msg else { return };
-        let (out, _fresh) = self.core.handle_arb(from, inner);
+        let (out, fresh) = self.core.handle_arb(from, inner);
         for m in out {
             ctx.broadcast(AsymRiderMsg::Arb(m));
         }
-        self.advance(ctx);
+        // `advance` is at its fixpoint between messages: a step that
+        // delivered no vertex changed nothing it reads.
+        if !fresh.is_empty() {
+            self.advance(ctx);
+        }
     }
 }
 

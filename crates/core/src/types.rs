@@ -15,12 +15,13 @@ pub type Tx = u64;
 /// `aa-broadcast` enqueues blocks; each new vertex packs the oldest queued
 /// block, or an empty filler block when none is queued.
 ///
-/// The payload is immutable and shared: cloning a block (and hence a vertex,
-/// a broadcast message or an ordered output) increments a reference count
-/// instead of copying the transactions, so every copy of one broadcast
-/// block — in flight, in broadcast tallies, in the DAG and in the outputs —
-/// is the same allocation. Equality, hashing, `Debug` and [`Block::encode`]
-/// all go by content, exactly as for a `Vec<Tx>`.
+/// The payload is immutable and shared: cloning a block increments a
+/// reference count instead of copying the transactions. A vertex is itself
+/// one shared allocation ([`Vertex`](asym_dag::Vertex)), so every copy of
+/// one broadcast vertex — in flight, in broadcast tallies, in the DAG —
+/// holds the same block, and an ordered output or a transfer segment
+/// built from it clones only the reference. Equality, hashing, `Debug` and
+/// [`Block::encode`] all go by content, exactly as for a `Vec<Tx>`.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Block {
     /// The transactions in this block.

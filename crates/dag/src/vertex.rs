@@ -6,6 +6,8 @@
 //! the same source in the same round — `(source, round)` is a sound vertex
 //! identity (the certified-DAG property DAG-Rider relies on).
 
+use std::sync::Arc;
+
 use asym_quorum::{ProcessId, ProcessSet};
 
 /// Round number; round 0 holds the hard-coded genesis vertices.
@@ -45,13 +47,43 @@ impl core::fmt::Debug for VertexId {
 /// of their sources — the round is implicit). *Weak edges* point to older
 /// vertices not yet reachable, guaranteeing that every broadcast vertex is
 /// eventually ordered (validity, Lemma 4.10).
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct Vertex<B> {
+///
+/// A vertex is immutable and shared: it is one allocation behind a
+/// reference count, so cloning it (per-recipient fan-out, broadcast
+/// tallies, the DAG buffer and store) copies a pointer, not its edges or
+/// its block. Equality, hashing and `Debug` go by content, exactly as for
+/// the five fields held inline; equality checks pointer identity first, so
+/// comparing two copies of one vertex is cheap, and two separately built
+/// equal vertices are still equal.
+#[derive(PartialEq, Eq, Hash)]
+pub struct Vertex<B>(Arc<Inner<B>>);
+
+#[derive(PartialEq, Eq, Hash)]
+struct Inner<B> {
     source: ProcessId,
     round: Round,
     block: B,
     strong_edges: ProcessSet,
     weak_edges: Vec<VertexId>,
+}
+
+impl<B> Clone for Vertex<B> {
+    fn clone(&self) -> Self {
+        Vertex(Arc::clone(&self.0))
+    }
+}
+
+impl<B: core::fmt::Debug> core::fmt::Debug for Vertex<B> {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        let v = &*self.0;
+        f.debug_struct("Vertex")
+            .field("source", &v.source)
+            .field("round", &v.round)
+            .field("block", &v.block)
+            .field("strong_edges", &v.strong_edges)
+            .field("weak_edges", &v.weak_edges)
+            .finish()
+    }
 }
 
 impl<B> Vertex<B> {
@@ -82,7 +114,7 @@ impl<B> Vertex<B> {
                 round.saturating_sub(1)
             );
         }
-        Vertex { source, round, block, strong_edges, weak_edges }
+        Vertex(Arc::new(Inner { source, round, block, strong_edges, weak_edges }))
     }
 
     /// Creates a genesis (round-0) vertex.
@@ -92,56 +124,139 @@ impl<B> Vertex<B> {
 
     /// The vertex identity.
     pub fn id(&self) -> VertexId {
-        VertexId::new(self.round, self.source)
+        VertexId::new(self.0.round, self.0.source)
     }
 
     /// The creating process.
     pub fn source(&self) -> ProcessId {
-        self.source
+        self.0.source
     }
 
     /// The round this vertex belongs to.
     pub fn round(&self) -> Round {
-        self.round
+        self.0.round
     }
 
     /// The carried block.
     pub fn block(&self) -> &B {
-        &self.block
-    }
-
-    /// Consumes the vertex and returns the block.
-    pub fn into_block(self) -> B {
-        self.block
+        &self.0.block
     }
 
     /// Sources of the previous-round vertices this vertex strongly
     /// references.
     pub fn strong_edges(&self) -> &ProcessSet {
-        &self.strong_edges
+        &self.0.strong_edges
     }
 
     /// Weak edges to rounds `< round − 1`.
     pub fn weak_edges(&self) -> &[VertexId] {
-        &self.weak_edges
+        &self.0.weak_edges
     }
 
     /// All parents (strong first, then weak), as vertex ids.
     pub fn parents(&self) -> impl Iterator<Item = VertexId> + '_ {
-        let prev = self.round.saturating_sub(1);
-        self.strong_edges
+        let prev = self.0.round.saturating_sub(1);
+        self.0
+            .strong_edges
             .iter()
             .map(move |s| VertexId::new(prev, s))
-            .chain(self.weak_edges.iter().copied())
+            .chain(self.0.weak_edges.iter().copied())
+    }
+}
+
+impl<B: Clone> Vertex<B> {
+    /// Consumes the vertex and returns the block: moved out when this is
+    /// the only handle on the vertex, cloned otherwise.
+    pub fn into_block(self) -> B {
+        match Arc::try_unwrap(self.0) {
+            Ok(inner) => inner.block,
+            Err(shared) => shared.block.clone(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
 
     fn pid(i: usize) -> ProcessId {
         ProcessId::new(i)
+    }
+
+    fn sample() -> Vertex<Vec<u8>> {
+        Vertex::new(
+            pid(2),
+            3,
+            vec![1u8, 2],
+            ProcessSet::from_indices([0, 1]),
+            vec![VertexId::new(1, pid(3))],
+        )
+    }
+
+    fn hash_of(value: &impl Hash) -> u64 {
+        let mut h = DefaultHasher::new();
+        value.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn clones_share_one_allocation() {
+        let a = sample();
+        let b = a.clone();
+        assert!(std::ptr::eq(a.strong_edges(), b.strong_edges()));
+        assert!(std::ptr::eq(a.weak_edges(), b.weak_edges()));
+        assert!(std::ptr::eq(a.block(), b.block()));
+    }
+
+    #[test]
+    fn separately_built_copies_compare_and_hash_by_content() {
+        let (a, b) = (sample(), sample());
+        assert!(!std::ptr::eq(a.strong_edges(), b.strong_edges()));
+        assert_eq!(a, b);
+        assert_eq!(hash_of(&a), hash_of(&b));
+        let other = Vertex::new(pid(2), 3, vec![9u8], ProcessSet::from_indices([0, 1]), Vec::new());
+        assert_ne!(a, other, "an equivocator's two values stay apart");
+    }
+
+    #[test]
+    fn hash_is_the_field_by_field_hash() {
+        let v = sample();
+        let mut h = DefaultHasher::new();
+        v.source().hash(&mut h);
+        v.round().hash(&mut h);
+        v.block().hash(&mut h);
+        v.strong_edges().hash(&mut h);
+        v.weak_edges().to_vec().hash(&mut h);
+        assert_eq!(hash_of(&v), h.finish());
+    }
+
+    #[test]
+    fn debug_prints_the_five_fields() {
+        let v = sample();
+        assert_eq!(
+            format!("{v:?}"),
+            "Vertex { source: p2, round: 3, block: [1, 2], strong_edges: {0, 1}, \
+             weak_edges: [v(p3, r1)] }"
+        );
+        assert_eq!(
+            format!("{v:#?}"),
+            "Vertex {\n    source: p2,\n    round: 3,\n    block: [\n        1,\n        2,\n    ],\n    \
+             strong_edges: {0, 1},\n    weak_edges: [\n        v(p3, r1),\n    ],\n}"
+        );
+    }
+
+    #[test]
+    fn into_block_moves_out_of_a_unique_handle() {
+        let v = sample();
+        let ptr = v.block().as_ptr();
+        let block = v.into_block();
+        assert_eq!(block.as_ptr(), ptr, "a unique handle's block is moved, not copied");
+        let (v, keep) = (sample(), sample());
+        let shared = v.clone();
+        assert_eq!(v.into_block(), *keep.block());
+        assert_eq!(shared.block(), keep.block(), "the other handle still holds the block");
     }
 
     #[test]

@@ -1,13 +1,16 @@
-//! Regression guard for shared block payloads.
+//! Regression guard for shared vertices and block payloads.
 //!
-//! A block's transactions are one immutable allocation: every copy of a
-//! vertex the run makes — per-recipient fan-out, broadcast tallies, the DAG
-//! buffer and store, the ordered outputs — shares it. In a fault-free
-//! asymmetric cell this shows twice: every correct process delivers the very
-//! allocation its origin was handed, and the whole execution allocates far
-//! less per delivery step than one 256-transaction block (2 KiB). Copying
-//! the payload per message costs about 4.9 KB per step on this cell; sharing
-//! it, about 0.3 KB.
+//! A vertex is one immutable allocation, and so are its block's
+//! transactions: every copy of a vertex the run makes — per-recipient
+//! fan-out, broadcast tallies, the DAG buffer and store — is a reference
+//! count on the origin's allocation, and the ordered outputs share the
+//! block. In a fault-free asymmetric cell this shows three times: every
+//! correct process delivers the very block allocation its origin was
+//! handed, two correct processes store the very same vertices, and the
+//! whole execution allocates less than one heap block per delivery step.
+//! Copying the payload per message costs about 4.9 KB per step on this
+//! cell; sharing the payload alone, 266 B and 2.79 allocations; sharing
+//! the whole vertex, 129 B and 0.77 allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
@@ -16,16 +19,18 @@ use std::sync::Arc;
 
 use asym_scenarios::{FaultPlan, Scenario, SchedulerSpec, TopologySpec};
 
-/// Counts every byte requested from the heap (a reallocation counts its new
-/// size, as a fresh allocation would).
+/// Counts every heap allocation and every byte requested (a reallocation
+/// counts as an allocation of its new size, as a fresh one would).
 struct Counting;
 
 static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every call forwards unchanged to the system allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -35,6 +40,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -56,18 +62,46 @@ fn block_payloads_are_shared_end_to_end() {
     .blocks_per_process(33)
     .txs_per_block(256);
 
-    let before = ALLOCATED.load(Ordering::Relaxed);
+    let (bytes_before, count_before) =
+        (ALLOCATED.load(Ordering::Relaxed), ALLOCATIONS.load(Ordering::Relaxed));
     let out = scenario.try_run().expect("the cell builds");
-    let allocated = ALLOCATED.load(Ordering::Relaxed) - before;
+    let allocated = ALLOCATED.load(Ordering::Relaxed) - bytes_before;
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - count_before;
 
     assert!(out.quiescent);
     assert_eq!(out.steps, 71_700, "the schedule of this pinned cell changed");
     let per_step = allocated / out.steps;
     assert!(
-        per_step < 1024,
-        "{per_step} B allocated per step ({allocated} B over {} steps): block payloads are being copied",
+        per_step < 192,
+        "{per_step} B allocated per step ({allocated} B over {} steps): vertices or block payloads are being copied",
         out.steps
     );
+    let per_step = allocations as f64 / out.steps as f64;
+    assert!(
+        per_step < 1.0,
+        "{per_step:.2} allocations per step ({allocations} over {} steps): vertices are being copied",
+        out.steps
+    );
+
+    // One allocation per vertex: every correct process stores the very
+    // vertex the hub delivered to all of them, not a copy of it. Genesis
+    // vertices are built locally by each process.
+    let mut first: HashMap<_, &asym_dag_rider::dag::Vertex<_>> = HashMap::new();
+    let mut stored_twice = 0;
+    for p in out.correct.iter() {
+        let dag = out.dags[p.index()].as_ref().expect("correct processes report their DAG");
+        for round in 1..=dag.max_round().unwrap_or(0) {
+            for v in dag.vertices_in_round(round) {
+                let seen = *first.entry(v.id()).or_insert(v);
+                if !std::ptr::eq(seen, v) {
+                    let (a, b) = (seen.strong_edges(), v.strong_edges());
+                    assert!(std::ptr::eq(a, b), "{p} stores a copy of {}", v.id());
+                    stored_twice += 1;
+                }
+            }
+        }
+    }
+    assert!(stored_twice > 0);
 
     // One allocation per block: each correct process outputs the origin's
     // injected payload itself, never a copy of it.
