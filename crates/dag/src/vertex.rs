@@ -228,7 +228,7 @@ mod tests {
         v.round().hash(&mut h);
         v.block().hash(&mut h);
         v.strong_edges().hash(&mut h);
-        v.weak_edges().to_vec().hash(&mut h);
+        v.weak_edges().hash(&mut h);
         assert_eq!(hash_of(&v), h.finish());
     }
 
