@@ -1,11 +1,13 @@
 //! Cost of the broadcast layer: one asymmetric reliable broadcast to full
-//! delivery (all processes), across system sizes and quorum representations.
+//! delivery (all processes), across system sizes and quorum representations,
+//! and the hub's per-message cost on a recorded stream.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use asym_broadcast::ArbProcess;
+use asym_broadcast::{ArbProcess, BcastMsg, BroadcastHub};
 use asym_dag_rider::prelude::*;
+use asym_sim::{Context, Protocol};
 
 fn pid(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -19,6 +21,73 @@ fn run_arb(quorums: &AsymQuorumSystem, seed: u64) -> u64 {
     let r = sim.run(u64::MAX);
     assert!(r.quiescent);
     r.steps
+}
+
+/// A process running one hub that keeps every ECHO and READY it receives.
+struct Recorder {
+    hub: BroadcastHub<u64>,
+    heard: Vec<(ProcessId, BcastMsg<u64>)>,
+}
+
+impl Protocol for Recorder {
+    type Msg = BcastMsg<u64>;
+    type Input = u64;
+    type Output = ();
+
+    fn on_input(&mut self, value: u64, ctx: &mut Context<'_, Self::Msg, ()>) {
+        for m in self.hub.broadcast(1, value) {
+            ctx.broadcast(m);
+        }
+    }
+
+    fn on_message(
+        &mut self,
+        from: ProcessId,
+        msg: BcastMsg<u64>,
+        ctx: &mut Context<'_, Self::Msg, ()>,
+    ) {
+        if !matches!(msg, BcastMsg::Send { .. }) {
+            self.heard.push((from, msg.clone()));
+        }
+        if let Some(m) = self.hub.on_message(from, msg).0 {
+            ctx.broadcast(m);
+        }
+    }
+}
+
+/// The ECHO/READY stream p0 receives in one `ripple_unl(10, 8, 1)` round —
+/// every process broadcasts one value under tag 1 — in arrival order under
+/// a seeded random schedule.
+fn recorded_round(quorums: &AsymQuorumSystem) -> Vec<(ProcessId, BcastMsg<u64>)> {
+    let procs = (0..quorums.n())
+        .map(|i| Recorder { hub: BroadcastHub::new(pid(i), quorums.clone()), heard: Vec::new() })
+        .collect();
+    let mut sim = Simulation::new(procs, scheduler::Random::new(1));
+    for i in 0..quorums.n() {
+        sim.input(pid(i), i as u64);
+    }
+    assert!(sim.run(u64::MAX).quiescent);
+    sim.process(pid(0)).heard.clone()
+}
+
+/// The hub alone: the recorded round replayed into a fresh hub, so the
+/// time per iteration over the stream's length is the cost of one ECHO or
+/// READY.
+fn bench_hub(c: &mut Criterion) {
+    let quorums = topology::ripple_unl(10, 8, 1).quorums;
+    let stream = recorded_round(&quorums);
+    let mut g = c.benchmark_group("reliable-broadcast");
+    g.bench_function("hub-on-message-n10", |b| {
+        b.iter(|| {
+            let mut hub = BroadcastHub::new(pid(0), quorums.clone());
+            for (from, m) in &stream {
+                black_box(hub.on_message(*from, m.clone()));
+            }
+            hub
+        })
+    });
+    g.finish();
+    println!("  ({} ECHO/READY messages per iteration)", stream.len());
 }
 
 fn bench_reliable(c: &mut Criterion) {
@@ -35,5 +104,5 @@ fn bench_reliable(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_reliable);
+criterion_group!(benches, bench_reliable, bench_hub);
 criterion_main!(benches);

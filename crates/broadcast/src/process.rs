@@ -82,10 +82,10 @@ impl Protocol for ArbProcess {
         ctx: &mut Context<'_, Self::Msg, Self::Output>,
     ) {
         let (out, delivered) = self.hub.on_message(from, msg);
-        for m in out {
+        if let Some(m) = out {
             ctx.broadcast(m);
         }
-        for d in delivered {
+        if let Some(d) = delivered {
             ctx.output(d);
         }
     }

@@ -19,9 +19,15 @@
 //!
 //! A [`BroadcastHub`] multiplexes any number of instances, keyed by
 //! `(origin, tag)`; one process broadcasts at most one value per tag (in the
-//! DAG protocols the tag is the round number).
+//! DAG protocols the tag is the round number). The instances of one tag
+//! share a row of `n` slots indexed by origin, allocated when the tag's
+//! first message arrives, so a message finds its instance by one short
+//! ordered-map descent over the tags and an index — no hashing. An ECHO or
+//! READY whose `origin` is `≥ n` names no process: it opens nothing and
+//! produces nothing. (A SEND's origin is its authenticated sender, which
+//! the network only ever reports as one of the `n` processes.)
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashSet};
 
 use asym_quorum::{AsymQuorumSystem, ProcessId, ProcessSet};
 
@@ -73,22 +79,25 @@ pub struct Delivery<T> {
     pub value: T,
 }
 
-/// Who sent which value for one broadcast instance: a short list of
-/// `(value, senders)` pairs, matched by `==`.
+/// Who sent which value for one broadcast instance: `(value, senders)`
+/// pairs in the order the values were first seen, matched by `==`.
 ///
-/// An honest instance sees a single value, so a list beats a hash map: no
-/// hashing of (possibly large) values and no clone of the value as a map
-/// key on every vote. Values are matched by content, so separately
-/// allocated copies of one value share a tally; for shared payloads such as
-/// `Arc` (and a DAG vertex, which is one), equality short-circuits on
-/// pointer identity first. A sender may
-/// appear under several values (an equivocator's echoes count for each).
+/// An honest instance sees a single value, so the first pair is kept
+/// inline and only a second value spills to the heap; with the inline
+/// [`ProcessSet`] an honest tally allocates nothing. Values are matched by
+/// content, so separately allocated copies of one value share a tally; for
+/// shared payloads such as `Arc` (and a DAG vertex, which is one), equality
+/// short-circuits on pointer identity first. A sender may appear under
+/// several values (an equivocator's echoes count for each).
 #[derive(Clone, Debug)]
-struct Tally<T>(Vec<(T, ProcessSet)>);
+struct Tally<T> {
+    first: Option<(T, ProcessSet)>,
+    others: Vec<(T, ProcessSet)>,
+}
 
 impl<T> Default for Tally<T> {
     fn default() -> Self {
-        Tally(Vec::new())
+        Tally { first: None, others: Vec::new() }
     }
 }
 
@@ -96,14 +105,15 @@ impl<T: Clone + Eq> Tally<T> {
     /// Records `from` as a sender of `value` and returns everyone who sent
     /// that value so far. `value` is cloned only the first time it is seen.
     fn add(&mut self, value: &T, from: ProcessId) -> &ProcessSet {
-        let slot = match self.0.iter().position(|(v, _)| v == value) {
-            Some(i) => i,
-            None => {
-                self.0.push((value.clone(), ProcessSet::new()));
-                self.0.len() - 1
-            }
+        let (first, senders) = self.first.get_or_insert_with(|| (value.clone(), ProcessSet::new()));
+        let senders = if first == value {
+            senders
+        } else if let Some(i) = self.others.iter().position(|(v, _)| v == value) {
+            &mut self.others[i].1
+        } else {
+            self.others.push((value.clone(), ProcessSet::new()));
+            &mut self.others.last_mut().expect("just pushed").1
         };
-        let senders = &mut self.0[slot].1;
         senders.insert(from);
         senders
     }
@@ -132,6 +142,14 @@ impl<T> Default for Instance<T> {
     }
 }
 
+impl<T> Instance<T> {
+    /// `true` once any message reached this instance: a SEND always leaves
+    /// `sent_echo` set, an ECHO or READY a non-empty tally.
+    fn touched(&self) -> bool {
+        self.sent_echo || self.echoes.first.is_some() || self.readies.first.is_some()
+    }
+}
+
 /// Multi-instance asymmetric reliable broadcast engine for one process.
 ///
 /// The hub is a pure state machine: [`BroadcastHub::broadcast`] and
@@ -155,15 +173,16 @@ impl<T> Default for Instance<T> {
 pub struct BroadcastHub<T> {
     me: ProcessId,
     quorums: AsymQuorumSystem,
-    instances: HashMap<(ProcessId, Tag), Instance<T>>,
-    originated: std::collections::HashSet<Tag>,
+    /// One row per tag; slot `i` is the instance of origin `p_i`.
+    rows: BTreeMap<Tag, Box<[Instance<T>]>>,
+    originated: HashSet<Tag>,
 }
 
 impl<T: Clone + Eq + core::fmt::Debug> BroadcastHub<T> {
     /// Creates a hub for process `me` under the given asymmetric quorum
     /// system.
     pub fn new(me: ProcessId, quorums: AsymQuorumSystem) -> Self {
-        BroadcastHub { me, quorums, instances: HashMap::new(), originated: Default::default() }
+        BroadcastHub { me, quorums, rows: BTreeMap::new(), originated: HashSet::new() }
     }
 
     /// This process's identity.
@@ -191,59 +210,70 @@ impl<T: Clone + Eq + core::fmt::Debug> BroadcastHub<T> {
 
     /// Handles one received broadcast-layer message from `from`.
     ///
-    /// Returns `(to_send, deliveries)`: messages to send to all processes and
-    /// values that became deliverable.
+    /// Returns `(to_send, delivery)`: the message to send to all processes
+    /// and the value that became deliverable, if any. A SEND can only
+    /// produce an ECHO, an ECHO only a READY, and a READY an amplifying
+    /// READY and a delivery.
     pub fn on_message(
         &mut self,
         from: ProcessId,
         msg: BcastMsg<T>,
-    ) -> (Vec<BcastMsg<T>>, Vec<Delivery<T>>) {
-        let mut out = Vec::new();
-        let mut delivered = Vec::new();
-        match msg {
-            BcastMsg::Send { tag, value } => {
-                // Echo the first value seen from this origin under this tag.
-                let inst = self.instances.entry((from, tag)).or_default();
-                if !inst.sent_echo {
-                    inst.sent_echo = true;
-                    out.push(BcastMsg::Echo { origin: from, tag, value });
-                }
+    ) -> (Option<BcastMsg<T>>, Option<Delivery<T>>) {
+        let (origin, tag) = match msg {
+            BcastMsg::Send { tag, .. } => (from, tag),
+            BcastMsg::Echo { origin, tag, .. } | BcastMsg::Ready { origin, tag, .. } => {
+                (origin, tag)
             }
-            BcastMsg::Echo { origin, tag, value } => {
-                let inst = self.instances.entry((origin, tag)).or_default();
+        };
+        let n = self.quorums.n();
+        if origin.index() >= n {
+            return (None, None);
+        }
+        let row =
+            self.rows.entry(tag).or_insert_with(|| (0..n).map(|_| Instance::default()).collect());
+        let inst = &mut row[origin.index()];
+        match msg {
+            BcastMsg::Send { value, .. } => {
+                // Echo the first value seen from this origin under this tag.
+                if inst.sent_echo {
+                    return (None, None);
+                }
+                inst.sent_echo = true;
+                (Some(BcastMsg::Echo { origin, tag, value }), None)
+            }
+            BcastMsg::Echo { value, .. } => {
                 let echoers = inst.echoes.add(&value, from);
                 // READY once a quorum of mine echoed the same value.
-                if !inst.sent_ready && self.quorums.contains_quorum_for(self.me, echoers) {
-                    inst.sent_ready = true;
-                    out.push(BcastMsg::Ready { origin, tag, value });
+                if inst.sent_ready || !self.quorums.contains_quorum_for(self.me, echoers) {
+                    return (None, None);
                 }
+                inst.sent_ready = true;
+                (Some(BcastMsg::Ready { origin, tag, value }), None)
             }
-            BcastMsg::Ready { origin, tag, value } => {
-                let inst = self.instances.entry((origin, tag)).or_default();
+            BcastMsg::Ready { value, .. } => {
                 let readiers = inst.readies.add(&value, from);
                 // Amplification: READY after a kernel of READYs.
-                if !inst.sent_ready && self.quorums.hits_kernel_for(self.me, readiers) {
-                    inst.sent_ready = true;
-                    out.push(BcastMsg::Ready { origin, tag, value: value.clone() });
-                }
+                let amplify = !inst.sent_ready && self.quorums.hits_kernel_for(self.me, readiers);
                 // Delivery: READY from one of my quorums.
-                if !inst.delivered && self.quorums.contains_quorum_for(self.me, readiers) {
-                    inst.delivered = true;
-                    delivered.push(Delivery { origin, tag, value });
-                }
+                let deliver =
+                    !inst.delivered && self.quorums.contains_quorum_for(self.me, readiers);
+                inst.sent_ready |= amplify;
+                inst.delivered |= deliver;
+                let ready = amplify.then(|| BcastMsg::Ready { origin, tag, value: value.clone() });
+                (ready, deliver.then_some(Delivery { origin, tag, value }))
             }
         }
-        (out, delivered)
     }
 
     /// Returns `true` if this hub already delivered for `(origin, tag)`.
     pub fn has_delivered(&self, origin: ProcessId, tag: Tag) -> bool {
-        self.instances.get(&(origin, tag)).is_some_and(|i| i.delivered)
+        self.rows.get(&tag).and_then(|row| row.get(origin.index())).is_some_and(|i| i.delivered)
     }
 
-    /// Number of instances with any state (observability).
+    /// Number of `(origin, tag)` instances that received any message
+    /// (observability).
     pub fn instance_count(&self) -> usize {
-        self.instances.len()
+        self.rows.values().flat_map(|row| row.iter()).filter(|i| i.touched()).count()
     }
 }
 
@@ -276,13 +306,13 @@ mod tests {
     fn echo_only_first_value_per_origin_tag() {
         let mut h = hub(0);
         let (out1, _) = h.on_message(pid(1), BcastMsg::Send { tag: 0, value: 5 });
-        assert_eq!(out1.len(), 1);
+        assert!(out1.is_some());
         // Equivocating second SEND: ignored.
         let (out2, _) = h.on_message(pid(1), BcastMsg::Send { tag: 0, value: 6 });
-        assert!(out2.is_empty());
+        assert!(out2.is_none());
         // Different tag: fresh echo.
         let (out3, _) = h.on_message(pid(1), BcastMsg::Send { tag: 1, value: 6 });
-        assert_eq!(out3.len(), 1);
+        assert!(out3.is_some());
     }
 
     #[test]
@@ -290,12 +320,12 @@ mod tests {
         let mut h = hub(0);
         // n=4, f=1 → quorums of size 3.
         let echo = |v| BcastMsg::Echo { origin: pid(3), tag: 0, value: v };
-        assert!(h.on_message(pid(0), echo(9)).0.is_empty());
-        assert!(h.on_message(pid(1), echo(9)).0.is_empty());
+        assert!(h.on_message(pid(0), echo(9)).0.is_none());
+        assert!(h.on_message(pid(1), echo(9)).0.is_none());
         let (out, _) = h.on_message(pid(2), echo(9));
-        assert_eq!(out, vec![BcastMsg::Ready { origin: pid(3), tag: 0, value: 9 }]);
+        assert_eq!(out, Some(BcastMsg::Ready { origin: pid(3), tag: 0, value: 9 }));
         // No duplicate READY on the 4th echo.
-        assert!(h.on_message(pid(3), echo(9)).0.is_empty());
+        assert!(h.on_message(pid(3), echo(9)).0.is_none());
     }
 
     #[test]
@@ -312,7 +342,7 @@ mod tests {
         // Two echoes for 1, one for 2: no quorum for either.
         let (f, m) = echo(3, 2);
         let (out, _) = h.on_message(f, m);
-        assert!(out.is_empty(), "2+2 split must not produce READY");
+        assert!(out.is_none(), "2+2 split must not produce READY");
     }
 
     #[test]
@@ -321,11 +351,11 @@ mod tests {
         // Kernel size for threshold(4, q=3) is 4-3+1 = 2.
         let ready = |from: usize| (pid(from), BcastMsg::Ready { origin: pid(3), tag: 0, value: 7 });
         let (f, m) = ready(1);
-        assert!(h.on_message(f, m).0.is_empty());
+        assert!(h.on_message(f, m).0.is_none());
         let (f, m) = ready(2);
         let (out, del) = h.on_message(f, m);
-        assert_eq!(out, vec![BcastMsg::Ready { origin: pid(3), tag: 0, value: 7 }]);
-        assert!(del.is_empty(), "2 readies < quorum");
+        assert_eq!(out, Some(BcastMsg::Ready { origin: pid(3), tag: 0, value: 7 }));
+        assert!(del.is_none(), "2 readies < quorum");
     }
 
     #[test]
@@ -338,12 +368,12 @@ mod tests {
         }
         let (f, m) = ready(3);
         let (_, del) = h.on_message(f, m);
-        assert_eq!(del, vec![Delivery { origin: pid(3), tag: 0, value: 7 }]);
+        assert_eq!(del, Some(Delivery { origin: pid(3), tag: 0, value: 7 }));
         assert!(h.has_delivered(pid(3), 0));
         // Further READYs do not re-deliver.
         let (f, m) = ready(0);
         let (_, del) = h.on_message(f, m);
-        assert!(del.is_empty());
+        assert!(del.is_none());
     }
 
     /// A value whose every construction is a fresh allocation, like a
@@ -360,11 +390,11 @@ mod tests {
     fn separately_allocated_equal_values_share_one_tally() {
         let mut h = shared_hub(0);
         let echo = |v| BcastMsg::Echo { origin: pid(3), tag: 0, value: v };
-        assert!(h.on_message(pid(0), echo(fresh(&[1, 2]))).0.is_empty());
-        assert!(h.on_message(pid(1), echo(fresh(&[1, 2]))).0.is_empty());
+        assert!(h.on_message(pid(0), echo(fresh(&[1, 2]))).0.is_none());
+        assert!(h.on_message(pid(1), echo(fresh(&[1, 2]))).0.is_none());
         // Three distinct allocations, one content: a quorum of echoes.
         let (out, _) = h.on_message(pid(2), echo(fresh(&[1, 2])));
-        assert_eq!(out, vec![BcastMsg::Ready { origin: pid(3), tag: 0, value: fresh(&[1, 2]) }]);
+        assert_eq!(out, Some(BcastMsg::Ready { origin: pid(3), tag: 0, value: fresh(&[1, 2]) }));
     }
 
     #[test]
@@ -374,15 +404,15 @@ mod tests {
             (pid(from), BcastMsg::Echo { origin: pid(3), tag: 0, value: fresh(v) })
         };
         for (f, m) in [echo(0, &[1]), echo(1, &[1]), echo(1, &[2]), echo(2, &[2])] {
-            assert!(h.on_message(f, m).0.is_empty(), "no value has a quorum of echoes yet");
+            assert!(h.on_message(f, m).0.is_none(), "no value has a quorum of echoes yet");
         }
         // p1 echoed both values; its vote still completes {1, 2, 3} for [2].
         let (f, m) = echo(3, &[2]);
         let (out, _) = h.on_message(f, m);
-        assert_eq!(out, vec![BcastMsg::Ready { origin: pid(3), tag: 0, value: fresh(&[2]) }]);
+        assert_eq!(out, Some(BcastMsg::Ready { origin: pid(3), tag: 0, value: fresh(&[2]) }));
         // Already READY: a later quorum for [1] sends nothing more.
         let (f, m) = echo(2, &[1]);
-        assert!(h.on_message(f, m).0.is_empty());
+        assert!(h.on_message(f, m).0.is_none());
     }
 
     #[test]
@@ -393,15 +423,78 @@ mod tests {
         };
         // Kernel of threshold(4, q=3) is 2 READYs; a quorum is 3.
         let (f, m) = ready(1);
-        assert_eq!(h.on_message(f, m), (vec![], vec![]));
+        assert_eq!(h.on_message(f, m), (None, None));
         let (f, m) = ready(2);
         let (out, del) = h.on_message(f, m);
-        assert_eq!(out, vec![BcastMsg::Ready { origin: pid(3), tag: 0, value: fresh(&[7, 8]) }]);
-        assert!(del.is_empty());
+        assert_eq!(out, Some(BcastMsg::Ready { origin: pid(3), tag: 0, value: fresh(&[7, 8]) }));
+        assert!(del.is_none());
         let (f, m) = ready(3);
         let (out, del) = h.on_message(f, m);
-        assert!(out.is_empty());
-        assert_eq!(del, vec![Delivery { origin: pid(3), tag: 0, value: fresh(&[7, 8]) }]);
+        assert!(out.is_none());
+        assert_eq!(del, Some(Delivery { origin: pid(3), tag: 0, value: fresh(&[7, 8]) }));
+    }
+
+    #[test]
+    fn an_origin_outside_the_system_opens_nothing() {
+        let mut h = hub(0);
+        h.on_message(pid(1), BcastMsg::Send { tag: 0, value: 5 });
+        assert_eq!(h.instance_count(), 1);
+        // n = 4: origin p4 names no process, whoever relays it.
+        for from in 0..4 {
+            for msg in [
+                BcastMsg::Echo { origin: pid(4), tag: 0, value: 5 },
+                BcastMsg::Ready { origin: pid(4), tag: 0, value: 5 },
+                BcastMsg::Ready { origin: pid(4), tag: 9, value: 5 },
+            ] {
+                assert_eq!(h.on_message(pid(from), msg), (None, None));
+            }
+        }
+        assert_eq!(h.instance_count(), 1);
+        assert!(!h.has_delivered(pid(4), 0));
+    }
+
+    #[test]
+    fn a_quorum_for_one_slot_readies_no_other() {
+        let mut h = hub(0);
+        let echo = |origin: usize, tag| BcastMsg::Echo { origin: pid(origin), tag, value: 1 };
+        let ready = |origin: usize, tag| BcastMsg::Ready { origin: pid(origin), tag, value: 1 };
+        // One ECHO each for the row neighbour (p2, 0) and for (p3, 1).
+        assert!(h.on_message(pid(0), echo(2, 0)).0.is_none());
+        assert!(h.on_message(pid(0), echo(3, 1)).0.is_none());
+        for from in 0..2 {
+            assert!(h.on_message(pid(from + 1), echo(3, 0)).0.is_none());
+        }
+        let (out, _) = h.on_message(pid(3), echo(3, 0));
+        assert_eq!(out, Some(ready(3, 0)));
+        // A quorum of READYs for (p3, 0) delivers (p3, 0) alone.
+        for from in 1..4 {
+            h.on_message(pid(from), ready(3, 0));
+        }
+        assert!(h.has_delivered(pid(3), 0));
+        assert!(!h.has_delivered(pid(2), 0));
+        assert!(!h.has_delivered(pid(3), 1));
+        // Neither neighbour is READY: one more ECHO each is still short of
+        // a quorum, and a kernel of READYs for them is what amplifies.
+        assert!(h.on_message(pid(1), echo(2, 0)).0.is_none());
+        assert!(h.on_message(pid(1), echo(3, 1)).0.is_none());
+        assert!(h.on_message(pid(1), ready(2, 0)).0.is_none());
+        assert_eq!(h.on_message(pid(2), ready(2, 0)).0, Some(ready(2, 0)));
+    }
+
+    #[test]
+    fn instance_count_counts_touched_instances_not_row_slots() {
+        let mut h = hub(0);
+        assert_eq!(h.instance_count(), 0);
+        // The first message of tag 3 opens a row of four slots: one counts.
+        h.on_message(pid(1), BcastMsg::Send { tag: 3, value: 5 });
+        assert_eq!(h.instance_count(), 1);
+        // Each message kind touches an instance; a repeat touches nothing new.
+        h.on_message(pid(0), BcastMsg::Echo { origin: pid(2), tag: 3, value: 5 });
+        h.on_message(pid(0), BcastMsg::Ready { origin: pid(3), tag: 3, value: 5 });
+        h.on_message(pid(2), BcastMsg::Echo { origin: pid(2), tag: 3, value: 5 });
+        assert_eq!(h.instance_count(), 3);
+        h.on_message(pid(2), BcastMsg::Send { tag: 4, value: 5 });
+        assert_eq!(h.instance_count(), 4);
     }
 
     #[test]

@@ -461,19 +461,17 @@ impl Protocol for AsymDagRider {
         match msg {
             AsymRiderMsg::Arb(inner) => {
                 let (out, fresh) = self.core.handle_arb(from, inner);
-                for m in out {
+                if let Some(m) = out {
                     ctx.broadcast(AsymRiderMsg::Arb(m));
                 }
-                advance = !fresh.is_empty();
+                advance = fresh.is_some();
                 // Line 142: ACK the creator of every delivered round-2
                 // vertex. The hub delivers each (origin, round) instance at
                 // most once and `handle_arb` admits only the vertex naming
                 // that instance, so each vertex is ACKed at most once.
-                for vid in fresh {
-                    if position_in_wave(vid.round) == 2 {
-                        let wave = wave_of_round(vid.round);
-                        ctx.send(vid.source, AsymRiderMsg::Ack { wave });
-                    }
+                if let Some(vid) = fresh.filter(|vid| position_in_wave(vid.round) == 2) {
+                    let wave = wave_of_round(vid.round);
+                    ctx.send(vid.source, AsymRiderMsg::Ack { wave });
                 }
             }
             AsymRiderMsg::Ack { wave } => {

@@ -160,32 +160,28 @@ impl DagCore {
         self.blocks.push_back(block);
     }
 
-    /// Handles an arb-layer message carrying vertices. [Valid](Self::is_valid)
-    /// deliveries are buffered. Returns the arb messages to broadcast and the
-    /// vertices delivered in this step (already buffered).
+    /// Handles an arb-layer message carrying vertices. A [valid](Self::is_valid)
+    /// delivery is buffered. Returns the arb message to broadcast, if any,
+    /// and the vertex delivered in this step (already buffered), if any.
     pub fn handle_arb(
         &mut self,
         from: ProcessId,
         msg: BcastMsg<Vertex<Block>>,
-    ) -> (Vec<BcastMsg<Vertex<Block>>>, Vec<VertexId>) {
-        let (out, deliveries) = self.hub.on_message(from, msg);
-        let mut fresh = Vec::new();
-        for d in deliveries {
+    ) -> (Option<BcastMsg<Vertex<Block>>>, Option<VertexId>) {
+        let (out, delivery) = self.hub.on_message(from, msg);
+        let fresh = delivery.and_then(|d| {
             let v = d.value;
             // Authenticated identity: the vertex must claim exactly the arb
-            // instance it travelled in.
-            if v.source() != d.origin || v.round() != d.tag {
-                continue;
-            }
-            if v.round() == 0 {
-                continue; // genesis is hard-coded, never broadcast
-            }
-            if !self.is_valid(&v) {
-                continue;
-            }
-            fresh.push(v.id());
-            self.buffer.push(v);
-        }
+            // instance it travelled in. Genesis is hard-coded, never
+            // broadcast.
+            let admitted =
+                v.source() == d.origin && v.round() == d.tag && v.round() != 0 && self.is_valid(&v);
+            admitted.then(|| {
+                let id = v.id();
+                self.buffer.push(v);
+                id
+            })
+        });
         (out, fresh)
     }
 
@@ -207,23 +203,29 @@ impl DagCore {
                     self.buffer.swap_remove(i);
                     continue;
                 }
-                if v.round() <= self.round && self.dag.parents_present(v) {
-                    let v = self.buffer.swap_remove(i);
-                    let id = v.id();
-                    let log = &mut self.log;
-                    let hook = |v: &Vertex<Block>| {
-                        persist_to(log, iter::once_with(|| DagEvent::VertexInserted(v.clone())));
-                    };
-                    match self.dag.insert_with(v, hook) {
-                        Ok(()) => {
-                            self.uncovered.insert(id);
-                            inserted_one = true;
-                        }
-                        Err(asym_dag::DagError::Duplicate(_)) => {}
-                        Err(e) => unreachable!("parents checked: {e}"),
-                    }
-                } else {
+                if v.round() > self.round {
                     i += 1;
+                    continue;
+                }
+                let v = self.buffer.swap_remove(i);
+                let id = v.id();
+                let log = &mut self.log;
+                let hook = |v: &Vertex<Block>| {
+                    persist_to(log, iter::once_with(|| DagEvent::VertexInserted(v.clone())));
+                };
+                match self.dag.insert_if_parents_present(v, hook) {
+                    Ok(true) => {
+                        self.uncovered.insert(id);
+                        inserted_one = true;
+                    }
+                    Ok(false) => {} // a duplicate
+                    Err(v) => {
+                        // A parent is missing: put it back where it was.
+                        self.buffer.push(v);
+                        let last = self.buffer.len() - 1;
+                        self.buffer.swap(i, last);
+                        i += 1;
+                    }
                 }
             }
             if !inserted_one {
@@ -552,7 +554,7 @@ mod tests {
         while let Some((from, m)) = inflight.pop() {
             let (out, f) = a.handle_arb(from, m);
             fresh.extend(f);
-            for m in out {
+            if let Some(m) = out {
                 // Simulate the other 3 processes sending the same message.
                 for i in 0..4 {
                     if let BcastMsg::Echo { .. } | BcastMsg::Ready { .. } = &m {
@@ -582,14 +584,12 @@ mod tests {
             BcastMsg::Echo { origin: pid(1), tag: 1, value: forged.clone() },
             BcastMsg::Ready { origin: pid(1), tag: 1, value: forged.clone() },
         ];
-        let mut fresh_total = 0;
         for m in &msgs {
             for s in 0..4 {
                 let (_, fresh) = a.handle_arb(pid(s), m.clone());
-                fresh_total += fresh.len();
+                assert_eq!(fresh, None, "mismatched identity must be dropped");
             }
         }
-        assert_eq!(fresh_total, 0, "mismatched identity must be dropped");
     }
 
     #[test]

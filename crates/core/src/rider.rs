@@ -127,12 +127,12 @@ impl Protocol for DagRider {
     ) {
         let AsymRiderMsg::Arb(inner) = msg else { return };
         let (out, fresh) = self.core.handle_arb(from, inner);
-        for m in out {
+        if let Some(m) = out {
             ctx.broadcast(AsymRiderMsg::Arb(m));
         }
         // `advance` is at its fixpoint between messages: a step that
         // delivered no vertex changed nothing it reads.
-        if !fresh.is_empty() {
+        if fresh.is_some() {
             self.advance(ctx);
         }
     }

@@ -194,15 +194,46 @@ impl<B> DagStore<B> {
         if self.contains(id) {
             return Err(DagError::Duplicate(id));
         }
-        for parent in vertex.parents() {
-            if !self.contains(parent) && !self.pruned.contains(&parent) {
-                return Err(DagError::MissingParent { vertex: id, parent });
-            }
+        if let Some(parent) = self.missing_parent(&vertex) {
+            return Err(DagError::MissingParent { vertex: id, parent });
         }
+        self.store(vertex, on_insert);
+        Ok(())
+    }
+
+    /// Inserts a vertex whose parents are all present (or pruned), invoking
+    /// `on_insert` as [`DagStore::insert_with`] does, and checking each
+    /// parent once. Unlike `insert_with` it checks the parents first: a
+    /// vertex with a missing parent is handed back (`Err`), so a caller
+    /// buffering it can keep it; one whose parents are present is consumed,
+    /// and `Ok(false)` means its identity was already taken.
+    pub fn insert_if_parents_present(
+        &mut self,
+        vertex: Vertex<B>,
+        on_insert: impl FnOnce(&Vertex<B>),
+    ) -> Result<bool, Vertex<B>> {
+        if self.missing_parent(&vertex).is_some() {
+            return Err(vertex);
+        }
+        if self.contains(vertex.id()) {
+            return Ok(false);
+        }
+        self.store(vertex, on_insert);
+        Ok(true)
+    }
+
+    /// The first parent of `vertex` that is neither stored nor pruned.
+    /// Pruned parents count as present: they were delivered and
+    /// garbage-collected.
+    fn missing_parent(&self, vertex: &Vertex<B>) -> Option<VertexId> {
+        vertex.parents().find(|p| !self.contains(*p) && !self.pruned.contains(p))
+    }
+
+    fn store(&mut self, vertex: Vertex<B>, on_insert: impl FnOnce(&Vertex<B>)) {
+        let id = vertex.id();
         let slot = self.rounds.entry(id.round).or_default().entry(id.source).or_insert(vertex);
         self.len += 1;
         on_insert(slot);
-        Ok(())
     }
 
     /// Removes a vertex without recording it as pruned (prefer
@@ -216,13 +247,6 @@ impl<B> DagStore<B> {
         }
         self.len -= 1;
         Some(v)
-    }
-
-    /// Returns `true` if all parents of `vertex` are present (the insert
-    /// precondition). Pruned parents count as present — they were
-    /// delivered and garbage-collected.
-    pub fn parents_present(&self, vertex: &Vertex<B>) -> bool {
-        vertex.parents().all(|p| self.contains(p) || self.pruned.contains(&p))
     }
 
     /// `true` if the identified vertex is stored.
@@ -441,14 +465,29 @@ mod tests {
     }
 
     #[test]
+    fn insert_if_parents_present_checks_parents_before_identity() {
+        let mut dag: DagStore<u64> = DagStore::with_genesis(3, 0);
+        let mut seen = Vec::new();
+        let v = Vertex::new(pid(0), 1, 7u64, ProcessSet::full(3), vec![]);
+        assert_eq!(dag.insert_if_parents_present(v.clone(), |v| seen.push(v.id())), Ok(true));
+        assert_eq!(dag.insert_if_parents_present(v, |v| seen.push(v.id())), Ok(false));
+        // A missing parent hands the vertex back, even under a taken identity.
+        let orphan = Vertex::new(pid(1), 2, 8u64, ProcessSet::from_indices([1]), vec![]);
+        assert_eq!(dag.insert_if_parents_present(orphan.clone(), |_| {}), Err(orphan));
+        let taken = Vertex::new(pid(0), 1, 9u64, ProcessSet::from_indices([0, 5]), vec![]);
+        assert_eq!(dag.insert_if_parents_present(taken.clone(), |_| {}), Err(taken));
+        assert_eq!(seen, vec![vid(1, 0)]);
+        assert_eq!(dag.len(), 4);
+    }
+
+    #[test]
     fn missing_parent_rejected() {
         let mut dag: DagStore<u64> = DagStore::with_genesis(4, 0);
         let v = Vertex::new(pid(0), 2, 9u64, ProcessSet::from_indices([1]), vec![]);
         assert_eq!(
-            dag.insert(v.clone()),
+            dag.insert(v),
             Err(DagError::MissingParent { vertex: vid(2, 0), parent: vid(1, 1) })
         );
-        assert!(!dag.parents_present(&v));
     }
 
     #[test]
@@ -521,7 +560,6 @@ mod tests {
         assert!(dag.is_pruned(vid(1, 0)));
         // A round-2 latecomer referencing the pruned round still inserts…
         let v = Vertex::new(pid(0), 3, 3u64, ProcessSet::from_indices([0, 1]), vec![]);
-        assert!(dag.parents_present(&v), "pruned parents count as present");
         dag.insert(v).unwrap();
         // …but a parent that was merely never received is NOT excused,
         // even in an already-pruned round: tolerance is per exact id.
@@ -529,7 +567,6 @@ mod tests {
         sparse.insert(Vertex::new(pid(0), 1, 1, ProcessSet::from_indices([0]), vec![])).unwrap();
         sparse.prune(vid(1, 0)).unwrap();
         let orphan = Vertex::new(pid(1), 2, 2, ProcessSet::from_indices([0, 1]), vec![]);
-        assert!(!sparse.parents_present(&orphan), "v(p1,r1) was never received, not pruned");
         assert_eq!(
             sparse.insert(orphan),
             Err(DagError::MissingParent { vertex: vid(2, 1), parent: vid(1, 1) })

@@ -237,11 +237,11 @@ impl<V: Clone + Eq + std::hash::Hash + core::fmt::Debug> Protocol for AsymGather
     ) {
         match msg {
             AsymGatherMsg::Arb(inner) => {
-                let (out, deliveries) = self.hub.on_message(from, inner);
-                for m in out {
+                let (out, delivery) = self.hub.on_message(from, inner);
+                if let Some(m) = out {
                     ctx.broadcast(AsymGatherMsg::Arb(m));
                 }
-                for d in deliveries {
+                if let Some(d) = delivery {
                     merge_pairs(&mut self.s, &[(d.origin, d.value)]);
                 }
             }

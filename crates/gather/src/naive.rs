@@ -131,11 +131,11 @@ impl<V: Clone + Eq + std::hash::Hash + core::fmt::Debug> Protocol for NaiveGathe
     ) {
         match msg {
             NaiveGatherMsg::Arb(inner) => {
-                let (out, deliveries) = self.hub.on_message(from, inner);
-                for m in out {
+                let (out, delivery) = self.hub.on_message(from, inner);
+                if let Some(m) = out {
                     ctx.broadcast(NaiveGatherMsg::Arb(m));
                 }
-                for d in deliveries {
+                if let Some(d) = delivery {
                     self.senders[0].insert(d.origin);
                     merge_pairs(&mut self.sets[0], &[(d.origin, d.value)]);
                 }

@@ -2,11 +2,14 @@
 //!
 //! All quorum-system mathematics in this crate — subset tests, intersections,
 //! complements, kernel checks — bottoms out in operations on [`ProcessSet`].
-//! The representation is a canonical `Vec<u64>` bit vector (no trailing zero
-//! blocks), so equality, hashing and ordering are structural.
+//! The representation is a canonical bit vector (no trailing zero words)
+//! whose first [`INLINE`] words live inline, so a set of up to 128
+//! processes never allocates. Equality, hashing and ordering are those of
+//! the word slice, exactly what a derive on `Vec<u64>` gives.
 
 use core::fmt;
-use core::ops::{BitAnd, BitOr, BitOrAssign, BitXor, Sub, SubAssign};
+use core::hash::{Hash, Hasher};
+use core::ops::{BitAnd, BitOr, BitOrAssign, BitXor, Deref, DerefMut, Sub, SubAssign};
 
 use serde::de::{SeqAccess, Visitor};
 use serde::ser::SerializeSeq;
@@ -16,11 +19,84 @@ use crate::ProcessId;
 
 const BITS: usize = 64;
 
+/// Words a [`ProcessSet`] keeps inline before it spills to the heap.
+const INLINE: usize = 2;
+
+/// The bit words of a set, least-significant first: up to [`INLINE`] of
+/// them inline, more on the heap. Dereferences to the live words only.
+#[derive(Clone)]
+enum Words {
+    Inline([u64; INLINE], u8),
+    Heap(Vec<u64>),
+}
+
+impl Words {
+    /// Sets the number of words, zero-filling new ones; spills to the heap
+    /// only when `len` exceeds the inline capacity.
+    fn resize(&mut self, len: usize) {
+        match self {
+            Words::Inline(words, live) if len <= INLINE => {
+                words[(*live as usize).min(len)..len].fill(0);
+                *live = len as u8;
+            }
+            Words::Inline(words, live) => {
+                let mut heap = Vec::with_capacity(len);
+                heap.extend_from_slice(&words[..*live as usize]);
+                heap.resize(len, 0);
+                *self = Words::Heap(heap);
+            }
+            Words::Heap(heap) => heap.resize(len, 0),
+        }
+    }
+
+    /// `len` zero words.
+    fn zeroed(len: usize) -> Self {
+        let mut words = Words::default();
+        words.resize(len);
+        words
+    }
+
+    /// Drops trailing zero words, restoring the canonical form.
+    fn normalize(&mut self) {
+        let live = self.iter().rposition(|w| *w != 0).map_or(0, |i| i + 1);
+        self.resize(live);
+    }
+}
+
+impl Default for Words {
+    fn default() -> Self {
+        Words::Inline([0; INLINE], 0)
+    }
+}
+
+impl Deref for Words {
+    type Target = [u64];
+
+    #[inline]
+    fn deref(&self) -> &[u64] {
+        match self {
+            Words::Inline(words, live) => &words[..*live as usize],
+            Words::Heap(heap) => heap,
+        }
+    }
+}
+
+impl DerefMut for Words {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [u64] {
+        match self {
+            Words::Inline(words, live) => &mut words[..*live as usize],
+            Words::Heap(heap) => heap,
+        }
+    }
+}
+
 /// A set of [`ProcessId`]s, implemented as a dynamic bit set.
 ///
-/// The set is unbounded: inserting `p100` into an empty set grows the backing
-/// storage as needed. Operations that need to know the system size `n`
-/// (such as [`ProcessSet::complement`]) take it as an argument.
+/// The set is unbounded: inserting `p200` into an empty set grows the
+/// backing storage as needed (onto the heap above `p127`). Operations that
+/// need to know the system size `n` (such as [`ProcessSet::complement`])
+/// take it as an argument.
 ///
 /// # Examples
 ///
@@ -34,17 +110,43 @@ const BITS: usize = 64;
 /// assert!(a.contains(ProcessId::new(1)));
 /// assert!(!a.is_subset(&b));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+#[derive(Clone, Default)]
 pub struct ProcessSet {
     /// Bit blocks, least-significant block first; canonical: no trailing zeros.
-    blocks: Vec<u64>,
+    blocks: Words,
+}
+
+impl PartialEq for ProcessSet {
+    fn eq(&self, other: &Self) -> bool {
+        *self.blocks == *other.blocks
+    }
+}
+
+impl Eq for ProcessSet {}
+
+impl PartialOrd for ProcessSet {
+    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ProcessSet {
+    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
+        (*self.blocks).cmp(&*other.blocks)
+    }
+}
+
+impl Hash for ProcessSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.blocks.deref().hash(state);
+    }
 }
 
 impl ProcessSet {
     /// Creates an empty set.
     #[inline]
     pub fn new() -> Self {
-        ProcessSet { blocks: Vec::new() }
+        ProcessSet { blocks: Words::default() }
     }
 
     /// Creates a set containing exactly one process.
@@ -56,14 +158,12 @@ impl ProcessSet {
 
     /// Creates the full set `{p_0, …, p_{n-1}}`.
     pub fn full(n: usize) -> Self {
-        let mut blocks = vec![u64::MAX; n / BITS];
-        let rem = n % BITS;
-        if rem != 0 {
-            blocks.push((1u64 << rem) - 1);
+        let mut blocks = Words::zeroed(n.div_ceil(BITS));
+        blocks.fill(u64::MAX);
+        if !n.is_multiple_of(BITS) {
+            blocks[n / BITS] = (1u64 << (n % BITS)) - 1;
         }
-        let mut s = ProcessSet { blocks };
-        s.normalize();
-        s
+        ProcessSet { blocks }
     }
 
     /// Creates a set from zero-based indices.
@@ -90,7 +190,7 @@ impl ProcessSet {
     pub fn insert(&mut self, id: ProcessId) -> bool {
         let (block, bit) = (id.index() / BITS, id.index() % BITS);
         if block >= self.blocks.len() {
-            self.blocks.resize(block + 1, 0);
+            self.blocks.resize(block + 1);
         }
         let mask = 1u64 << bit;
         let fresh = self.blocks[block] & mask == 0;
@@ -137,7 +237,7 @@ impl ProcessSet {
         let (long, short) =
             if self.blocks.len() >= other.blocks.len() { (self, other) } else { (other, self) };
         let mut blocks = long.blocks.clone();
-        for (b, s) in blocks.iter_mut().zip(&short.blocks) {
+        for (b, s) in blocks.iter_mut().zip(short.blocks.iter()) {
             *b |= s;
         }
         ProcessSet { blocks }
@@ -145,18 +245,19 @@ impl ProcessSet {
 
     /// Returns the intersection `self ∩ other`.
     pub fn intersection(&self, other: &Self) -> Self {
-        let mut blocks: Vec<u64> =
-            self.blocks.iter().zip(&other.blocks).map(|(a, b)| a & b).collect();
-        while blocks.last() == Some(&0) {
-            blocks.pop();
+        let mut blocks = Words::zeroed(self.blocks.len().min(other.blocks.len()));
+        for ((b, x), y) in blocks.iter_mut().zip(self.blocks.iter()).zip(other.blocks.iter()) {
+            *b = x & y;
         }
-        ProcessSet { blocks }
+        let mut s = ProcessSet { blocks };
+        s.normalize();
+        s
     }
 
     /// Returns the difference `self ∖ other`.
     pub fn difference(&self, other: &Self) -> Self {
         let mut blocks = self.blocks.clone();
-        for (b, o) in blocks.iter_mut().zip(&other.blocks) {
+        for (b, o) in blocks.iter_mut().zip(other.blocks.iter()) {
             *b &= !o;
         }
         let mut s = ProcessSet { blocks };
@@ -169,7 +270,7 @@ impl ProcessSet {
         let (long, short) =
             if self.blocks.len() >= other.blocks.len() { (self, other) } else { (other, self) };
         let mut blocks = long.blocks.clone();
-        for (b, s) in blocks.iter_mut().zip(&short.blocks) {
+        for (b, s) in blocks.iter_mut().zip(short.blocks.iter()) {
             *b ^= s;
         }
         let mut s = ProcessSet { blocks };
@@ -180,16 +281,16 @@ impl ProcessSet {
     /// In-place union.
     pub fn union_with(&mut self, other: &Self) {
         if other.blocks.len() > self.blocks.len() {
-            self.blocks.resize(other.blocks.len(), 0);
+            self.blocks.resize(other.blocks.len());
         }
-        for (b, o) in self.blocks.iter_mut().zip(&other.blocks) {
+        for (b, o) in self.blocks.iter_mut().zip(other.blocks.iter()) {
             *b |= o;
         }
     }
 
     /// In-place difference (removes all members of `other`).
     pub fn subtract(&mut self, other: &Self) {
-        for (b, o) in self.blocks.iter_mut().zip(&other.blocks) {
+        for (b, o) in self.blocks.iter_mut().zip(other.blocks.iter()) {
             *b &= !o;
         }
         self.normalize();
@@ -200,7 +301,7 @@ impl ProcessSet {
         if self.blocks.len() > other.blocks.len() {
             return false;
         }
-        self.blocks.iter().zip(&other.blocks).all(|(a, b)| a & !b == 0)
+        self.blocks.iter().zip(other.blocks.iter()).all(|(a, b)| a & !b == 0)
     }
 
     /// Returns `true` if `self ⊇ other`.
@@ -211,7 +312,7 @@ impl ProcessSet {
 
     /// Returns `true` if the sets share no member.
     pub fn is_disjoint(&self, other: &Self) -> bool {
-        self.blocks.iter().zip(&other.blocks).all(|(a, b)| a & b == 0)
+        self.blocks.iter().zip(other.blocks.iter()).all(|(a, b)| a & b == 0)
     }
 
     /// Returns `true` if the sets share at least one member.
@@ -267,9 +368,7 @@ impl ProcessSet {
     }
 
     fn normalize(&mut self) {
-        while self.blocks.last() == Some(&0) {
-            self.blocks.pop();
-        }
+        self.blocks.normalize();
     }
 }
 
@@ -463,6 +562,38 @@ mod tests {
         ProcessSet::from_indices(ids.iter().copied())
     }
 
+    /// The canonical `Vec<u64>` words of `ids`: no trailing zero word.
+    fn words(ids: &[usize]) -> Vec<u64> {
+        let mut words = vec![0; ids.iter().max().map_or(0, |max| max / BITS + 1)];
+        for i in ids {
+            words[i / BITS] |= 1 << (i % BITS);
+        }
+        words
+    }
+
+    fn hash_of(x: &impl Hash) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        x.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn a_set_is_at_most_four_words() {
+        assert!(std::mem::size_of::<ProcessSet>() <= 32);
+    }
+
+    #[test]
+    fn sets_up_to_p127_stay_inline() {
+        let s = set(&[0, 63, 64, 127]);
+        assert!(matches!(s.blocks, Words::Inline(..)));
+        let mut big = set(&[0, 128]);
+        assert!(matches!(big.blocks, Words::Heap(_)));
+        big.remove(ProcessId::new(128));
+        assert_eq!(big, set(&[0]));
+        assert_eq!(ProcessSet::full(128).len(), 128);
+        assert!(matches!(ProcessSet::full(128).blocks, Words::Inline(..)));
+    }
+
     #[test]
     fn insert_remove_contains() {
         let mut s = ProcessSet::new();
@@ -480,12 +611,7 @@ mod tests {
         let mut s = set(&[1, 200]);
         s.remove(ProcessId::new(200));
         assert_eq!(s, set(&[1]));
-        let mut h1 = std::collections::hash_map::DefaultHasher::new();
-        let mut h2 = std::collections::hash_map::DefaultHasher::new();
-        use std::hash::{Hash, Hasher};
-        s.hash(&mut h1);
-        set(&[1]).hash(&mut h2);
-        assert_eq!(h1.finish(), h2.finish());
+        assert_eq!(hash_of(&s), hash_of(&set(&[1])));
     }
 
     #[test]
@@ -615,6 +741,41 @@ mod tests {
             let c = sa.complement(100);
             prop_assert!(sa.is_disjoint(&c));
             prop_assert_eq!(sa.union(&c), ProcessSet::full(100));
+        }
+
+        /// The inline representation against the `Vec<u64>` one it
+        /// replaced: the same canonical words, so the same hash, order and
+        /// equality, across the 64- and 128-member word boundaries.
+        #[test]
+        fn prop_words_match_the_vec_representation(
+            a in proptest::collection::vec(0usize..200, 0..40),
+            b in proptest::collection::vec(0usize..200, 0..40),
+            extra in proptest::collection::vec(128usize..200, 1..8),
+        ) {
+            let (sa, sb) = (set(&a), set(&b));
+            let (wa, wb) = (words(&a), words(&b));
+            prop_assert_eq!(&*sa.blocks, &wa[..]);
+            prop_assert_eq!(hash_of(&sa), hash_of(&wa));
+            prop_assert_eq!(sa.cmp(&sb), wa.cmp(&wb));
+            prop_assert_eq!(sa == sb, wa == wb);
+            let union: Vec<usize> = a.iter().chain(&b).copied().collect();
+            prop_assert_eq!(&*(&sa | &sb).blocks, &words(&union)[..]);
+            let common: Vec<usize> = a.iter().copied().filter(|i| b.contains(i)).collect();
+            prop_assert_eq!(&*(&sa & &sb).blocks, &words(&common)[..]);
+            let only_a: Vec<usize> = a.iter().copied().filter(|i| !b.contains(i)).collect();
+            prop_assert_eq!(&*(&sa - &sb).blocks, &words(&only_a)[..]);
+
+            // Grown past 128 members' worth of words and shrunk back: equal
+            // to, and hashing like, the set that never grew.
+            let small: Vec<usize> = a.iter().copied().filter(|i| *i < 128).collect();
+            let mut grown = set(&small);
+            grown.extend(extra.iter().copied());
+            for i in &extra {
+                grown.remove(ProcessId::new(*i));
+            }
+            prop_assert_eq!(&grown, &set(&small));
+            prop_assert_eq!(hash_of(&grown), hash_of(&set(&small)));
+            prop_assert_eq!(grown.cmp(&sb), set(&small).cmp(&sb));
         }
 
         #[test]

@@ -106,6 +106,9 @@ pub struct Simulation<P: Protocol, S> {
     seq: u64,
     started: bool,
     outputs: Vec<Vec<P::Output>>,
+    /// The send buffer every callback's [`Context`] fills and
+    /// `enqueue` drains, so a step allocates no buffer.
+    sends: Vec<(Dest, P::Msg)>,
     stats: NetStats,
 }
 
@@ -131,6 +134,7 @@ impl<P: Protocol, S: Scheduler<P::Msg>> Simulation<P, S> {
             seq: 0,
             started: false,
             outputs: (0..n).map(|_| Vec::new()).collect(),
+            sends: Vec::new(),
             stats: NetStats::default(),
         }
     }
@@ -254,12 +258,17 @@ impl<P: Protocol, S: Scheduler<P::Msg>> Simulation<P, S> {
 
     fn recover_process(&mut self, i: usize) {
         self.recovered[i] = true;
-        let mut sends = Vec::new();
+        self.call(i, |p, ctx| p.on_recover(ctx));
+    }
+
+    /// Runs one callback of process `i` against the shared send buffer and
+    /// enqueues what it sent.
+    fn call(&mut self, i: usize, f: impl FnOnce(&mut P, &mut Context<'_, P::Msg, P::Output>)) {
         let n = self.n();
         let mut ctx =
-            Context::new(ProcessId::new(i), n, self.now, &mut sends, &mut self.outputs[i]);
-        self.nodes[i].on_recover(&mut ctx);
-        self.enqueue(i, sends);
+            Context::new(ProcessId::new(i), n, self.now, &mut self.sends, &mut self.outputs[i]);
+        f(&mut self.nodes[i], &mut ctx);
+        self.enqueue(i);
     }
 
     /// If the network drained while a crashed restartable process is still
@@ -285,16 +294,18 @@ impl<P: Protocol, S: Scheduler<P::Msg>> Simulation<P, S> {
         matches!(self.faults[i], FaultMode::Mute) || self.is_silent(i)
     }
 
-    fn enqueue(&mut self, from: usize, sends: Vec<(Dest, P::Msg)>) {
+    /// Drains the send buffer into the network, or counts it dropped.
+    fn enqueue(&mut self, from: usize) {
         let n = self.n();
         if self.sends_dropped(from) {
-            self.stats.dropped += sends
-                .iter()
+            self.stats.dropped += self
+                .sends
+                .drain(..)
                 .map(|(d, _)| if matches!(d, Dest::All) { n as u64 } else { 1 })
                 .sum::<u64>();
             return;
         }
-        for (dest, msg) in sends {
+        for (dest, msg) in self.sends.drain(..) {
             match dest {
                 Dest::To(to) => {
                     self.stats.sent += 1;
@@ -336,12 +347,7 @@ impl<P: Protocol, S: Scheduler<P::Msg>> Simulation<P, S> {
             if matches!(self.faults[i], FaultMode::CrashedFromStart) {
                 continue;
             }
-            let mut sends = Vec::new();
-            let n = self.n();
-            let mut ctx =
-                Context::new(ProcessId::new(i), n, self.now, &mut sends, &mut self.outputs[i]);
-            self.nodes[i].on_start(&mut ctx);
-            self.enqueue(i, sends);
+            self.call(i, |p, ctx| p.on_start(ctx));
         }
     }
 
@@ -353,11 +359,7 @@ impl<P: Protocol, S: Scheduler<P::Msg>> Simulation<P, S> {
         if self.is_silent(i) {
             return;
         }
-        let mut sends = Vec::new();
-        let n = self.n();
-        let mut ctx = Context::new(p, n, self.now, &mut sends, &mut self.outputs[i]);
-        self.nodes[i].on_input(input, &mut ctx);
-        self.enqueue(i, sends);
+        self.call(i, |p, ctx| p.on_input(input, ctx));
     }
 
     /// Delivers one message chosen by the scheduler. Returns `false` if the
@@ -381,11 +383,7 @@ impl<P: Protocol, S: Scheduler<P::Msg>> Simulation<P, S> {
         }
         self.deliveries[i] += 1;
         self.stats.delivered += 1;
-        let mut sends = Vec::new();
-        let n = self.n();
-        let mut ctx = Context::new(m.to, n, self.now, &mut sends, &mut self.outputs[i]);
-        self.nodes[i].on_message(m.from, m.msg, &mut ctx);
-        self.enqueue(i, sends);
+        self.call(i, |p, ctx| p.on_message(m.from, m.msg, ctx));
         true
     }
 
@@ -466,11 +464,7 @@ impl<P: Protocol, S: Scheduler<P::Msg>> Simulation<P, S> {
             } else {
                 self.deliveries[i] += 1;
                 self.stats.delivered += 1;
-                let mut sends = Vec::new();
-                let n = self.n();
-                let mut ctx = Context::new(m.to, n, self.now, &mut sends, &mut self.outputs[i]);
-                self.nodes[i].on_message(m.from, m.msg, &mut ctx);
-                self.enqueue(i, sends);
+                self.call(i, |p, ctx| p.on_message(m.from, m.msg, ctx));
             }
             steps += 1;
         }

@@ -7,10 +7,12 @@
 //! block. In a fault-free asymmetric cell this shows three times: every
 //! correct process delivers the very block allocation its origin was
 //! handed, two correct processes store the very same vertices, and the
-//! whole execution allocates less than one heap block per delivery step.
+//! whole execution allocates well under one heap block per delivery step.
 //! Copying the payload per message costs about 4.9 KB per step on this
 //! cell; sharing the payload alone, 266 B and 2.79 allocations; sharing
-//! the whole vertex, 129 B and 0.77 allocations.
+//! the whole vertex, 129 B and 0.77 allocations; per-round broadcast rows,
+//! inline tallies and process sets and one reused send buffer, 57 B and
+//! 0.11 allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
@@ -72,13 +74,13 @@ fn block_payloads_are_shared_end_to_end() {
     assert_eq!(out.steps, 71_700, "the schedule of this pinned cell changed");
     let per_step = allocated / out.steps;
     assert!(
-        per_step < 192,
+        per_step < 96,
         "{per_step} B allocated per step ({allocated} B over {} steps): vertices or block payloads are being copied",
         out.steps
     );
     let per_step = allocations as f64 / out.steps as f64;
     assert!(
-        per_step < 1.0,
+        per_step < 0.30,
         "{per_step:.2} allocations per step ({allocations} over {} steps): vertices are being copied",
         out.steps
     );
