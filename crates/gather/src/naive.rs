@@ -375,7 +375,7 @@ mod tests {
     fn no_delivery_without_a_quorum() {
         // With 2 of 4 processes crashed (> f = 1), no quorum of 3 survives
         // and nobody can finish.
-        let sim = threshold_run(4, 1, scheduler::Fifo, &[2, 3]);
+        let sim = threshold_run(4, 1, scheduler::Fifo::default(), &[2, 3]);
         assert!(sim.outputs(pid(0)).is_empty());
         assert!(sim.outputs(pid(1)).is_empty());
     }

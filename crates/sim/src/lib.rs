@@ -58,6 +58,7 @@ mod adversary;
 mod network;
 mod process;
 pub mod scheduler;
+mod seq_index;
 pub mod threaded;
 
 pub use adversary::Adversary;

@@ -10,6 +10,7 @@ use asym_quorum::{ProcessId, ProcessSet};
 
 use crate::process::{Context, Dest, Protocol, Step};
 use crate::scheduler::{InFlight, Scheduler};
+use crate::seq_index::SeqIndex;
 
 /// Fault mode of a process, applied by the network layer.
 ///
@@ -89,7 +90,7 @@ pub struct RunReport {
 ///     }
 /// }
 ///
-/// let mut sim = Simulation::new(vec![Ping, Ping, Ping], scheduler::Fifo);
+/// let mut sim = Simulation::new(vec![Ping, Ping, Ping], scheduler::Fifo::default());
 /// let report = sim.run(10_000);
 /// assert!(report.quiescent);
 /// assert_eq!(sim.outputs(ProcessId::new(0)).len(), 3);
@@ -435,8 +436,16 @@ impl<P: Protocol, S: Scheduler<P::Msg>> Simulation<P, S> {
     /// Delivers all still-pending messages in FIFO order, bypassing the
     /// scheduler — models "the delayed messages eventually arrive" after a
     /// starving adversary has achieved its goal.
+    ///
+    /// Each delivery advances `now` by one, which tells a stateful
+    /// scheduler that the slice changed behind its back. The flush finds the
+    /// oldest message through an index of its own (built once per call,
+    /// O(log n) per delivery) and removes it with `swap_remove`, so a flush
+    /// that runs out of budget leaves `pending` in the same order as one
+    /// that scanned for each oldest message.
     pub fn flush_starved(&mut self, max_steps: u64) -> RunReport {
         self.start();
+        let mut index = SeqIndex::default();
         let mut steps = 0;
         while steps < max_steps {
             // Restartable processes recover during a flush exactly as they
@@ -448,14 +457,10 @@ impl<P: Protocol, S: Scheduler<P::Msg>> Simulation<P, S> {
             if self.pending.is_empty() {
                 continue; // a recovery fired but sent nothing
             }
-            let idx = self
-                .pending
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, m)| m.seq)
-                .map(|(i, _)| i)
-                .expect("pending is non-empty");
+            index.sync(&self.pending, &mut |_| 0);
+            let (_, idx) = index.front(0).expect("pending is non-empty");
             let m = self.pending.swap_remove(idx);
+            index.swap_remove(idx);
             self.now += 1;
             self.steps_done += 1;
             let i = m.to.index();
@@ -521,7 +526,8 @@ mod tests {
 
     #[test]
     fn all_broadcasts_delivered_under_fifo() {
-        let mut sim = Simulation::new(vec![Gossip, Gossip, Gossip, Gossip], scheduler::Fifo);
+        let mut sim =
+            Simulation::new(vec![Gossip, Gossip, Gossip, Gossip], scheduler::Fifo::default());
         let report = sim.run(1_000);
         assert!(report.quiescent);
         assert_eq!(report.steps, 16, "4 broadcasts × 4 recipients");
@@ -548,7 +554,7 @@ mod tests {
 
     #[test]
     fn crashed_from_start_sends_and_receives_nothing() {
-        let mut sim = Simulation::new(vec![Gossip, Gossip, Gossip], scheduler::Fifo)
+        let mut sim = Simulation::new(vec![Gossip, Gossip, Gossip], scheduler::Fifo::default())
             .with_fault(ProcessId::new(2), FaultMode::CrashedFromStart);
         sim.run(1_000);
         // p2 broadcast suppressed: others see 2 messages each.
@@ -559,7 +565,7 @@ mod tests {
 
     #[test]
     fn mute_receives_but_never_sends() {
-        let mut sim = Simulation::new(vec![Gossip, Gossip, Gossip], scheduler::Fifo)
+        let mut sim = Simulation::new(vec![Gossip, Gossip, Gossip], scheduler::Fifo::default())
             .with_fault(ProcessId::new(1), FaultMode::Mute);
         sim.run(1_000);
         assert_eq!(sim.outputs(ProcessId::new(1)).len(), 2, "mute still receives");
@@ -568,7 +574,7 @@ mod tests {
 
     #[test]
     fn crash_after_k_deliveries() {
-        let mut sim = Simulation::new(vec![Gossip, Gossip, Gossip], scheduler::Fifo)
+        let mut sim = Simulation::new(vec![Gossip, Gossip, Gossip], scheduler::Fifo::default())
             .with_fault(ProcessId::new(0), FaultMode::CrashAfter(1));
         sim.run(1_000);
         assert_eq!(sim.outputs(ProcessId::new(0)).len(), 1, "processed one delivery only");
@@ -601,8 +607,11 @@ mod tests {
 
     #[test]
     fn restart_after_crash_window_rejoins() {
-        let mut sim = Simulation::new(vec![Restartable, Restartable, Restartable], scheduler::Fifo)
-            .with_fault(ProcessId::new(0), FaultMode::RestartAfter { crash_at: 1, recover_at: 4 });
+        let mut sim = Simulation::new(
+            vec![Restartable, Restartable, Restartable],
+            scheduler::Fifo::default(),
+        )
+        .with_fault(ProcessId::new(0), FaultMode::RestartAfter { crash_at: 1, recover_at: 4 });
         let report = sim.run(1_000);
         assert!(report.quiescent);
         // p0 heard its own 1, crashed (dropping p1's 1), recovered at step 4
@@ -618,11 +627,14 @@ mod tests {
     fn recovery_is_forced_at_quiescence_if_network_drains_first() {
         // recover_at far beyond the traffic: the drained network must still
         // bring the process back ("the operator eventually restarts it").
-        let mut sim = Simulation::new(vec![Restartable, Restartable, Restartable], scheduler::Fifo)
-            .with_fault(
-                ProcessId::new(2),
-                FaultMode::RestartAfter { crash_at: 0, recover_at: 1_000_000 },
-            );
+        let mut sim = Simulation::new(
+            vec![Restartable, Restartable, Restartable],
+            scheduler::Fifo::default(),
+        )
+        .with_fault(
+            ProcessId::new(2),
+            FaultMode::RestartAfter { crash_at: 0, recover_at: 1_000_000 },
+        );
         let report = sim.run(1_000);
         assert!(report.quiescent);
         let out2 = sim.outputs(ProcessId::new(2));
@@ -648,7 +660,7 @@ mod tests {
 
     #[test]
     fn inputs_reach_the_network() {
-        let mut sim = Simulation::new(vec![Gossip, Gossip], scheduler::Fifo);
+        let mut sim = Simulation::new(vec![Gossip, Gossip], scheduler::Fifo::default());
         sim.run(100);
         sim.input(ProcessId::new(0), 42);
         sim.run(100);
@@ -658,7 +670,7 @@ mod tests {
 
     #[test]
     fn run_until_predicate() {
-        let mut sim = Simulation::new(vec![Gossip, Gossip, Gossip], scheduler::Fifo);
+        let mut sim = Simulation::new(vec![Gossip, Gossip, Gossip], scheduler::Fifo::default());
         let ok = sim.run_until(1_000, |s| s.outputs(ProcessId::new(1)).len() >= 2);
         assert!(ok);
         assert!(sim.in_flight() > 0, "stopped before quiescence");
@@ -689,10 +701,117 @@ mod tests {
 
     #[test]
     fn take_outputs_drains() {
-        let mut sim = Simulation::new(vec![Gossip, Gossip], scheduler::Fifo);
+        let mut sim = Simulation::new(vec![Gossip, Gossip], scheduler::Fifo::default());
         sim.run(100);
         let got = sim.take_outputs(ProcessId::new(0));
         assert_eq!(got.len(), 2);
         assert!(sim.outputs(ProcessId::new(0)).is_empty());
+    }
+
+    /// Relays every first-hop value once more, so a flush meets new sends.
+    #[derive(Clone, Debug)]
+    struct Relay;
+
+    impl Protocol for Relay {
+        type Msg = (bool, u32);
+        type Input = u32;
+        type Output = (ProcessId, u32);
+
+        fn on_start(&mut self, ctx: &mut Context<'_, (bool, u32), (ProcessId, u32)>) {
+            ctx.broadcast((false, ctx.id().index() as u32));
+        }
+
+        fn on_input(&mut self, v: u32, ctx: &mut Context<'_, (bool, u32), (ProcessId, u32)>) {
+            ctx.broadcast((false, v));
+        }
+
+        fn on_message(
+            &mut self,
+            from: ProcessId,
+            (relayed, v): (bool, u32),
+            ctx: &mut Context<'_, (bool, u32), (ProcessId, u32)>,
+        ) {
+            ctx.output((from, v));
+            if !relayed {
+                ctx.broadcast((true, v + 100));
+            }
+        }
+
+        fn on_recover(&mut self, ctx: &mut Context<'_, (bool, u32), (ProcessId, u32)>) {
+            ctx.broadcast((false, 99));
+        }
+    }
+
+    /// `flush_starved` as it was before its index, scanning for the lowest
+    /// seq on every delivery: the reference the indexed flush must match.
+    fn flush_by_scan<P: Protocol, S: Scheduler<P::Msg>>(
+        sim: &mut Simulation<P, S>,
+        max_steps: u64,
+    ) -> RunReport {
+        sim.start();
+        let mut steps = 0;
+        while steps < max_steps {
+            sim.fire_due_recoveries();
+            if sim.pending.is_empty() && !sim.force_pending_recovery() {
+                break;
+            }
+            if sim.pending.is_empty() {
+                continue;
+            }
+            let idx = sim
+                .pending
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, m)| m.seq)
+                .map(|(i, _)| i)
+                .expect("pending is non-empty");
+            let m = sim.pending.swap_remove(idx);
+            sim.now += 1;
+            sim.steps_done += 1;
+            let i = m.to.index();
+            if sim.is_silent(i) {
+                sim.stats.dropped += 1;
+            } else {
+                sim.deliveries[i] += 1;
+                sim.stats.delivered += 1;
+                sim.call(i, |p, ctx| p.on_message(m.from, m.msg, ctx));
+            }
+            steps += 1;
+        }
+        RunReport { steps, quiescent: sim.pending.is_empty() }
+    }
+
+    #[test]
+    fn indexed_flush_matches_the_scan() {
+        use rand::{rngs::SmallRng, RngExt, SeedableRng};
+        for seed in 0..64 {
+            let trace = |indexed: bool| {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let victims = ProcessSet::from_indices([rng.random_range(0usize..5)]);
+                let restart = FaultMode::RestartAfter {
+                    crash_at: rng.random_range(0..6),
+                    recover_at: rng.random_range(0..120),
+                };
+                let mut sim = Simulation::new(vec![Relay; 5], scheduler::Starve::new(victims))
+                    .with_fault(ProcessId::new(rng.random_range(0usize..5)), restart);
+                let mut trace = Vec::new();
+                for _ in 0..12 {
+                    let report = match rng.random_range(0u8..4) {
+                        0 => sim.run(rng.random_range(0..40)),
+                        1 => {
+                            sim.input(ProcessId::new(rng.random_range(0usize..5)), 7);
+                            sim.run(0)
+                        }
+                        _ if indexed => sim.flush_starved(rng.random_range(1..30)),
+                        _ => flush_by_scan(&mut sim, rng.random_range(1..30)),
+                    };
+                    let seqs: Vec<u64> = sim.pending.iter().map(|m| m.seq).collect();
+                    let outputs: Vec<_> = (0..5).map(|i| sim.outputs[i].clone()).collect();
+                    trace.push((report, sim.now, sim.stats, seqs, outputs));
+                }
+                trace
+            };
+            assert_eq!(trace(true), trace(false), "seed {seed}");
+        }
     }
 }

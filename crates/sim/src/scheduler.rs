@@ -10,12 +10,17 @@
 //!
 //! All schedulers are deterministic given their seed, so every execution in
 //! tests and benchmarks is replayable.
+//!
+//! The oldest-first schedulers ([`Fifo`], [`TargetedDelay`], [`Partition`],
+//! [`Starve`], [`Filtered`]) keep an index of the in-flight slice, so a pick
+//! costs O(log n) rather than a scan; their picks are exactly the scan's.
 
 use asym_quorum::{ProcessId, ProcessSet};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::process::Step;
+use crate::seq_index::SeqIndex;
 
 /// A message in flight: sent but not yet delivered.
 #[derive(Clone, Debug)]
@@ -33,6 +38,25 @@ pub struct InFlight<M> {
 }
 
 /// An adversary strategy choosing the next message to deliver.
+///
+/// # Engine discipline
+///
+/// A scheduler may keep state about the in-flight slice between calls; the
+/// [`Simulation`](crate::Simulation) engine guarantees four things it can
+/// rely on:
+///
+/// * the engine removes a pick with `pending.swap_remove(index)`;
+/// * it calls [`Scheduler::delivery_time`] exactly once per such removal,
+///   right after it, and at no other time (a `next` whose pick is not
+///   removed is a peek);
+/// * it appends new sends at the end of the slice, in increasing `seq`
+///   order, with every new `seq` above every live one;
+/// * a removal outside a pick ([`Simulation::flush_starved`]) advances
+///   `now`, so the next `next` sees a `now` it has not seen.
+///
+/// A wrapper around a scheduler needs to forward only these two methods.
+///
+/// [`Simulation::flush_starved`]: crate::Simulation::flush_starved
 pub trait Scheduler<M> {
     /// Returns the index (into `pending`) of the next message to deliver, or
     /// `None` to leave all remaining messages undelivered for now.
@@ -60,13 +84,25 @@ impl<M, S: Scheduler<M> + ?Sized> Scheduler<M> for Box<S> {
 }
 
 /// Delivers messages in send order — the synchronous-looking baseline.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Fifo;
+#[derive(Clone, Debug, Default)]
+pub struct Fifo {
+    index: SeqIndex,
+}
 
 impl<M> Scheduler<M> for Fifo {
-    fn next(&mut self, pending: &[InFlight<M>], _now: Step) -> Option<usize> {
-        pending.iter().enumerate().min_by_key(|(_, m)| m.seq).map(|(i, _)| i)
+    fn next(&mut self, pending: &[InFlight<M>], now: Step) -> Option<usize> {
+        self.index.pick(pending, now, |_| 0, |ix| ix.front(0))
     }
+
+    fn delivery_time(&mut self, chosen: &InFlight<M>, now: Step) -> Step {
+        self.index.delivered(chosen, now)
+    }
+}
+
+/// `1` if `m` is to or from one of the `victims`, else `0`: the index class
+/// of the victim-starving schedulers.
+fn victim_class<M>(victims: &ProcessSet, m: &InFlight<M>) -> usize {
+    usize::from(victims.contains(m.from) || victims.contains(m.to))
 }
 
 /// Delivers a uniformly random pending message — the classic "oblivious"
@@ -123,6 +159,9 @@ impl RandomLatency {
         }
     }
 
+    // Inlined into `next`'s scan, its hot loop; left to the inliner, that
+    // choice flips with unrelated changes elsewhere in the crate.
+    #[inline]
     fn deadline(&mut self, m: &InFlight<impl Sized>) -> Step {
         let (rng, min, max) = (&mut self.rng, self.min, self.max);
         *self.deadlines.entry(m.seq).or_insert_with(|| m.sent_at + rng.random_range(min..=max))
@@ -158,28 +197,24 @@ impl<M> Scheduler<M> for RandomLatency {
 #[derive(Clone, Debug)]
 pub struct TargetedDelay {
     victims: ProcessSet,
+    index: SeqIndex,
 }
 
 impl TargetedDelay {
     /// Creates a targeted-delay adversary against the given victims.
     pub fn new(victims: ProcessSet) -> Self {
-        TargetedDelay { victims }
-    }
-
-    fn targets(&self, m: &InFlight<impl Sized>) -> bool {
-        self.victims.contains(m.from) || self.victims.contains(m.to)
+        TargetedDelay { victims, index: SeqIndex::default() }
     }
 }
 
 impl<M> Scheduler<M> for TargetedDelay {
-    fn next(&mut self, pending: &[InFlight<M>], _now: Step) -> Option<usize> {
-        pending
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| !self.targets(*m))
-            .min_by_key(|(_, m)| m.seq)
-            .or_else(|| pending.iter().enumerate().min_by_key(|(_, m)| m.seq))
-            .map(|(i, _)| i)
+    fn next(&mut self, pending: &[InFlight<M>], now: Step) -> Option<usize> {
+        let TargetedDelay { victims, index } = self;
+        index.pick(pending, now, |m| victim_class(victims, m), |ix| ix.front(0).or(ix.front(1)))
+    }
+
+    fn delivery_time(&mut self, chosen: &InFlight<M>, now: Step) -> Step {
+        self.index.delivered(chosen, now)
     }
 }
 
@@ -194,6 +229,8 @@ pub struct Partition {
     groups: Vec<ProcessSet>,
     heal_at: Step,
     healed: bool,
+    /// Class 0: intra-group messages; class 1: cross-group ones.
+    index: SeqIndex,
 }
 
 impl Partition {
@@ -201,16 +238,12 @@ impl Partition {
     /// (or earlier on intra-group quiescence). Processes not in any group
     /// are isolated until the heal.
     pub fn new(groups: Vec<ProcessSet>, heal_at: Step) -> Self {
-        Partition { groups, heal_at, healed: false }
+        Partition { groups, heal_at, healed: false, index: SeqIndex::default() }
     }
 
     /// `true` once the partition has healed.
     pub fn healed(&self) -> bool {
         self.healed
-    }
-
-    fn same_group(&self, a: ProcessId, b: ProcessId) -> bool {
-        self.groups.iter().any(|g| g.contains(a) && g.contains(b))
     }
 }
 
@@ -219,23 +252,26 @@ impl<M> Scheduler<M> for Partition {
         if now >= self.heal_at {
             self.healed = true;
         }
-        if !self.healed {
-            let intra = pending
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| self.same_group(m.from, m.to))
-                .min_by_key(|(_, m)| m.seq)
-                .map(|(i, _)| i);
-            if intra.is_some() {
-                return intra;
+        let Partition { groups, healed, index, .. } = self;
+        let cross = |m: &InFlight<M>| {
+            usize::from(!groups.iter().any(|g| g.contains(m.from) && g.contains(m.to)))
+        };
+        let pick = index.pick(pending, now, cross, |ix| {
+            if *healed {
+                ix.oldest()
+            } else {
+                ix.front(0).or(ix.oldest())
             }
-            if pending.is_empty() {
-                return None;
-            }
+        });
+        if !*healed && index.front(0).is_none() && !pending.is_empty() {
             // Both sides quiesced: the partition cannot starve any longer.
-            self.healed = true;
+            *healed = true;
         }
-        pending.iter().enumerate().min_by_key(|(_, m)| m.seq).map(|(i, _)| i)
+        pick
+    }
+
+    fn delivery_time(&mut self, chosen: &InFlight<M>, now: Step) -> Step {
+        self.index.delivered(chosen, now)
     }
 }
 
@@ -245,26 +281,27 @@ impl<M> Scheduler<M> for Partition {
 /// starvation shape as a plain-data adversary. Harnesses must follow up
 /// with [`crate::Simulation::flush_starved`] ("the delayed messages
 /// eventually arrive") before checking liveness properties.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Starve {
     victims: ProcessSet,
+    index: SeqIndex,
 }
 
 impl Starve {
     /// Creates a hard-starvation adversary against the given victims.
     pub fn new(victims: ProcessSet) -> Self {
-        Starve { victims }
+        Starve { victims, index: SeqIndex::default() }
     }
 }
 
 impl<M> Scheduler<M> for Starve {
-    fn next(&mut self, pending: &[InFlight<M>], _now: Step) -> Option<usize> {
-        pending
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| !self.victims.contains(m.from) && !self.victims.contains(m.to))
-            .min_by_key(|(_, m)| m.seq)
-            .map(|(i, _)| i)
+    fn next(&mut self, pending: &[InFlight<M>], now: Step) -> Option<usize> {
+        let Starve { victims, index } = self;
+        index.pick(pending, now, |m| victim_class(victims, m), |ix| ix.front(0))
+    }
+
+    fn delivery_time(&mut self, chosen: &InFlight<M>, now: Step) -> Step {
+        self.index.delivered(chosen, now)
     }
 }
 
@@ -272,26 +309,33 @@ impl<M> Scheduler<M> for Starve {
 /// starved until [`crate::Simulation::flush_starved`] or forever. This is the
 /// scheduler used to realize the paper's Appendix-A execution, where every
 /// process hears **exactly its own quorum** in each round.
+///
+/// The predicate runs once per message, when the scheduler first sees it
+/// (and once more for each message still in flight whenever the scheduler
+/// rebuilds its index, e.g. after a flush), so it must depend on its
+/// arguments alone.
 pub struct Filtered<F> {
     allow: F,
+    /// Class 0: allowed messages; class 1: the starved rest.
+    index: SeqIndex,
 }
 
 impl<F> Filtered<F> {
     /// Creates a filtered scheduler from an `allow(from, to) -> bool`
     /// predicate.
     pub fn new(allow: F) -> Self {
-        Filtered { allow }
+        Filtered { allow, index: SeqIndex::default() }
     }
 }
 
 impl<M, F: FnMut(ProcessId, ProcessId) -> bool> Scheduler<M> for Filtered<F> {
-    fn next(&mut self, pending: &[InFlight<M>], _now: Step) -> Option<usize> {
-        pending
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| (self.allow)(m.from, m.to))
-            .min_by_key(|(_, m)| m.seq)
-            .map(|(i, _)| i)
+    fn next(&mut self, pending: &[InFlight<M>], now: Step) -> Option<usize> {
+        let Filtered { allow, index } = self;
+        index.pick(pending, now, |m| usize::from(!allow(m.from, m.to)), |ix| ix.front(0))
+    }
+
+    fn delivery_time(&mut self, chosen: &InFlight<M>, now: Step) -> Step {
+        self.index.delivered(chosen, now)
     }
 }
 
@@ -312,8 +356,8 @@ mod tests {
     #[test]
     fn fifo_picks_lowest_seq() {
         let pending = vec![msg(5, 0, 1), msg(2, 1, 0), msg(9, 2, 0)];
-        assert_eq!(Scheduler::<u8>::next(&mut Fifo, &pending, 0), Some(1));
-        assert_eq!(Scheduler::<u8>::next(&mut Fifo, &[], 0), None);
+        assert_eq!(Scheduler::<u8>::next(&mut Fifo::default(), &pending, 0), Some(1));
+        assert_eq!(Scheduler::<u8>::next(&mut Fifo::default(), &[], 0), None);
     }
 
     #[test]

@@ -28,7 +28,7 @@ impl Protocol for PingPong {
 
 #[test]
 fn budget_exhaustion_reports_non_quiescent() {
-    let mut sim = Simulation::new(vec![PingPong, PingPong], scheduler::Fifo);
+    let mut sim = Simulation::new(vec![PingPong, PingPong], scheduler::Fifo::default());
     sim.input(pid(0), 0);
     let report = sim.run(100);
     assert_eq!(report.steps, 100);
@@ -43,7 +43,7 @@ fn budget_exhaustion_reports_non_quiescent() {
 
 #[test]
 fn stats_account_for_every_message() {
-    let mut sim = Simulation::new(vec![PingPong, PingPong], scheduler::Fifo);
+    let mut sim = Simulation::new(vec![PingPong, PingPong], scheduler::Fifo::default());
     sim.input(pid(0), 0);
     sim.run(73);
     let s = sim.stats();
@@ -56,7 +56,7 @@ fn stats_account_for_every_message() {
 
 #[test]
 fn dropped_messages_are_counted_not_delivered() {
-    let mut sim = Simulation::new(vec![PingPong, PingPong], scheduler::Fifo)
+    let mut sim = Simulation::new(vec![PingPong, PingPong], scheduler::Fifo::default())
         .with_fault(pid(1), FaultMode::CrashedFromStart);
     sim.input(pid(0), 0);
     let report = sim.run(1_000);
@@ -79,7 +79,7 @@ fn identical_seeds_identical_traces() {
 
 #[test]
 fn correct_processes_reflects_crash_progression() {
-    let mut sim = Simulation::new(vec![PingPong, PingPong], scheduler::Fifo)
+    let mut sim = Simulation::new(vec![PingPong, PingPong], scheduler::Fifo::default())
         .with_fault(pid(1), FaultMode::CrashAfter(5));
     sim.input(pid(0), 0);
     assert!(sim.correct_processes().contains(pid(1)));
