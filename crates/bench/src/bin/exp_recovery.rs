@@ -4,7 +4,8 @@
 //! vs. DAG height, an end-to-end restart scenario reporting how much work
 //! recovery actually performed, and the per-snapshot size sequence of a
 //! live pruned run (bounded sawtooth) vs. an unpruned one (monotone
-//! growth).
+//! growth), deep catch-up vs. lag depth, and the per-wave cost and largest
+//! snapshot of WAL-everywhere runs against their horizon (REC-6).
 //!
 //! Exits non-zero if any replayed state diverges from its source.
 //!
@@ -20,6 +21,7 @@ use asym_core::Block;
 use asym_dag::{Vertex, VertexId};
 use asym_quorum::{ProcessId, ProcessSet};
 use asym_scenarios::{checks, Fault, FaultPlan, Scenario, SchedulerSpec, TopologySpec};
+use asym_storage::WalStats;
 use asym_storage::{DagEvent, EventLog, StorageBackend, RECORD_HEADER_BYTES};
 
 fn pid(i: usize) -> ProcessId {
@@ -52,6 +54,15 @@ fn workload(n: usize, rounds: u64) -> Vec<DagEvent<Block>> {
         }
     }
     events
+}
+
+/// `uniform_threshold(4, 1)` / `ripple_unl(10, 8, 1)` for the REC-6 title.
+fn scenario_label(topology: &TopologySpec) -> String {
+    match topology {
+        TopologySpec::UniformThreshold { n, f } => format!("uniform_threshold({n}, {f})"),
+        TopologySpec::RippleUnl { n, unl, f } => format!("ripple_unl({n}, {unl}, {f})"),
+        other => format!("{other:?}"),
+    }
 }
 
 fn append_all(log: &mut Log, events: &[DagEvent<Block>]) {
@@ -121,8 +132,9 @@ fn main() {
         // Compact into a snapshot and measure both its size and how fast
         // recovery gets when it replays the snapshot instead of the log.
         let mut snapped = Log::new(StorageBackend::in_memory());
-        snapped.install_snapshot(&replayed.to_snapshot_events()).expect("snapshot");
+        snapped.compact_from(&replayed).expect("snapshot");
         let snap_bytes = snapped.stats().last_snapshot_bytes;
+        let sealed_bytes = snapped.stats().sealed_bytes;
         let t1 = Instant::now();
         let re = snapped.replay(n, pid(0), Block::default()).expect("replay snapshot");
         let replay_snap_us = t1.elapsed().as_secs_f64() * 1e6;
@@ -143,7 +155,7 @@ fn main() {
         }
         pruned_state.prune_delivered(floor);
         let mut pruned_log = Log::new(StorageBackend::in_memory());
-        pruned_log.install_snapshot(&pruned_state.to_snapshot_events()).expect("pruned snapshot");
+        pruned_log.compact_from(&pruned_state).expect("pruned snapshot");
         let pruned_bytes = pruned_log.stats().last_snapshot_bytes;
         assert!(
             floor == 0 || pruned_bytes < snap_bytes,
@@ -161,6 +173,7 @@ fn main() {
             values: vec![
                 ("log kB".into(), log_bytes as f64 / 1024.0),
                 ("snap kB".into(), snap_bytes as f64 / 1024.0),
+                ("sealed kB".into(), sealed_bytes as f64 / 1024.0),
                 ("pruned kB".into(), pruned_bytes as f64 / 1024.0),
                 ("replay µs".into(), replay_log_us),
                 ("snap-replay µs".into(), replay_snap_us),
@@ -173,6 +186,7 @@ fn main() {
             &format!(
                 "REC-2 — snapshot size and recovery latency vs. DAG height (n={n}).\n\
                  replay µs = folding the raw WAL back into DAG + delivered set + commit log;\n\
+                 sealed kB = the decided waves, sealed once next to the snapshot;\n\
                  pruned kB = the same snapshot after garbage-collecting the delivered prefix"
             ),
             &rows
@@ -246,13 +260,11 @@ fn main() {
         unpruned_sizes.windows(2).all(|w| w[1] >= w[0]),
         "without pruning the snapshot sequence grows monotonically"
     );
-    // Pruning drops the delivered vertices' *edges* but — since the
-    // delivered-state-transfer PR — retains their blocks as transferable
-    // residue (DagEvent::DeliveredBlock), so the pruned sequence still
-    // grows with history; the claim is that it grows strictly slower and
-    // the per-snapshot savings widen as more history is pruned. (Squeezing
-    // the residue further via watermark + exception lists is the open
-    // delivered-set-growth ROADMAP item.)
+    // Pruning drops the delivered vertices from the snapshot; their ids,
+    // wave tags and blocks are sealed once per wave (DagEvent::WaveSealed)
+    // instead of rewritten, so the pruned sequence is a flat sawtooth
+    // while the unpruned one grows, and the per-snapshot savings widen as
+    // more history is pruned.
     let common = pruned_sizes.len().min(unpruned_sizes.len());
     assert!(common > 2, "need a few snapshots to compare");
     for k in 1..common {
@@ -327,6 +339,77 @@ fn main() {
              arrives as certified outputs (delivered-state transfer) instead of DAG vertices",
             &rows
         )
+    );
+
+    // ── REC-6: per-wave cost and snapshot size vs. horizon ────────────────
+    // Every process carries a pruning WAL; a snapshot every 64 records. The
+    // snapshot holds only the window above the sealed waves, so neither
+    // the largest snapshot nor the cost per wave may grow with the horizon.
+    let (topology, horizons): (TopologySpec, &[u64]) = if smoke {
+        (TopologySpec::UniformThreshold { n: 4, f: 1 }, &[8, 32])
+    } else {
+        (TopologySpec::RippleUnl { n: 10, unl: 8, f: 1 }, &[32, 128, 512])
+    };
+    let mut rows = Vec::new();
+    let mut largest = Vec::new();
+    let mut per_wave = Vec::new();
+    for &waves in horizons {
+        let scenario = Scenario::new(topology, FaultPlan::none(), SchedulerSpec::Random, 1)
+            .waves(waves)
+            .snapshot_every(64)
+            .wal_everywhere(true);
+        let t0 = Instant::now();
+        let outcome = scenario.try_run().unwrap_or_else(|e| {
+            eprintln!("REC-6 cell failed to run: {e}");
+            std::process::exit(1);
+        });
+        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+        if let Err(e) = checks::wal_state_equivalence(&outcome) {
+            eprintln!("REC-6 cell at {waves} waves: WAL and live state differ:\n{e}");
+            std::process::exit(1);
+        }
+        let max_snapshot = outcome.wal_snapshot_sizes.iter().flatten().flatten().max().copied();
+        let stats: Vec<WalStats> = outcome.wal_stats.iter().flatten().copied().collect();
+        let sum = |f: fn(&WalStats) -> u64| stats.iter().map(f).sum::<u64>() as f64;
+        largest.push(max_snapshot.unwrap_or(0));
+        per_wave.push(wall_ms / waves as f64);
+        rows.push(Row {
+            label: format!("{waves} waves"),
+            values: vec![
+                ("wall ms".into(), wall_ms),
+                ("ms/wave".into(), wall_ms / waves as f64),
+                ("max snap B".into(), max_snapshot.unwrap_or(0) as f64),
+                ("snapshots".into(), sum(|s| s.snapshots_written)),
+                ("sealed kB".into(), sum(|s| s.sealed_bytes) / 1024.0),
+                ("log kB".into(), sum(|s| s.bytes_appended) / 1024.0),
+            ],
+        });
+    }
+    println!(
+        "{}",
+        render_table(
+            &format!(
+                "REC-6 — cost per wave and largest snapshot vs. horizon ({}, Random, seed 1;\n\
+                 WAL and pruning on every process, a snapshot every 64 records).\n\
+                 sealed kB = decided waves written once to the sealed area, all processes",
+                scenario_label(&topology)
+            ),
+            &rows
+        )
+    );
+    let (first, last) = (largest[0], *largest.last().expect("horizons"));
+    let growth = per_wave.last().expect("horizons") / per_wave[0];
+    println!(
+        "  largest snapshot {first} B → {last} B ({:.2}×); per-wave cost {:.1} → {:.1} ms ({growth:.2}×, \
+         target ≤ 1.5×: {})",
+        last as f64 / first as f64,
+        per_wave[0],
+        per_wave.last().expect("horizons"),
+        if growth <= 1.5 { "✓" } else { "✗" }
+    );
+    assert!(
+        2 * last <= 3 * first,
+        "the largest snapshot grew with the horizon: {first} B → {last} B"
     );
 
     let _ = std::fs::remove_dir_all(&file_dir);

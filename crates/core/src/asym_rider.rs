@@ -21,7 +21,7 @@
 //!   quorum `Q ∈ Q_j` (for *any* process `j`, Algorithm 6 line 148) have
 //!   strong paths to it.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::iter;
 
 use asym_broadcast::BcastMsg;
@@ -295,15 +295,17 @@ impl AsymDagRider {
         }
     }
 
-    /// Installs a snapshot when the WAL's cadence asks for one. With
-    /// [`RiderConfig::prune_wal`] set, the delivered prefix below the
+    /// Compacts the WAL when its cadence asks for it, at O(window) cost.
+    /// With [`RiderConfig::prune_wal`] set, the delivered prefix below the
     /// decided wave's leader round is garbage-collected first — from the
     /// live DAG and hence from the snapshot — so the *vertex* component of
     /// a snapshot tracks the undelivered frontier, not the whole history.
-    /// The delivered-set ids and the commit log are never pruned (they are
-    /// what makes re-delivery impossible) and still grow with history —
-    /// compacting them safely is an open ROADMAP item, because a
-    /// per-source watermark is unsound for Byzantine sources.
+    /// The compaction then seals every wave decided since the last one,
+    /// with its deliveries and their residue blocks, into the log's
+    /// append-only sealed area, once; the snapshot holds only the window
+    /// above it. The delivered ids and the commit log are never dropped
+    /// (they are what makes re-delivery impossible), but no snapshot
+    /// rewrites them.
     fn maybe_snapshot(&mut self) {
         if !self.core.log().is_some_and(DagLog::should_snapshot) {
             return;
@@ -316,21 +318,13 @@ impl AsymDagRider {
             // the transferable residue, so the delivered prefix stays
             // servable to deep laggards as certified outputs.
             let floor = round_of_wave(decided, 1);
-            let delivered: BTreeSet<VertexId> = self.committer.delivered().collect();
-            for v in self.core.prune_delivered(&delivered, floor) {
+            let committer = &self.committer;
+            for v in self.core.prune_delivered(|id| committer.is_delivered(id), floor) {
                 self.delivered_blocks.insert(v.id(), v.into_block());
             }
         }
-        // The canonical snapshot event order lives in
-        // `asym_storage::snapshot_events`, shared with replay-side compaction.
-        let events = asym_storage::snapshot_events(
-            self.core.dag(),
-            self.control.iter().filter(|(_, c)| c.t_ready).map(|(w, _)| *w),
-            self.committer.log(),
-            self.committer.delivered_waves(),
-            self.delivered_blocks.iter().map(|(id, b)| (*id, b.clone())),
-        );
-        self.core.install_snapshot(&events);
+        let residue = &self.delivered_blocks;
+        self.core.compact_log(|id| residue.get(&id).cloned());
     }
 
     /// Discards all in-memory state and rebuilds this process from its

@@ -131,7 +131,9 @@ pub(crate) fn restart_from_log(
     // a surviving torn tail would fuse with it into one checksum-mismatching
     // frame, leaving the log unreadable at the *next* restart.
     log.repair_torn_tail().expect("WAL torn-tail repair failed");
-    let recovered = log.replay(quorums.n(), me, Block::default()).expect("WAL replay failed");
+    // The log adopts what the replayed state has not sealed, so its next
+    // compaction seals exactly that.
+    let recovered = log.recover(quorums.n(), me, Block::default()).expect("WAL replay failed");
     let waves = &recovered.delivered_waves;
     let delivered = recovered.delivered.iter().map(|id| (*id, waves.get(id).copied().unwrap_or(0)));
     let committer =

@@ -102,11 +102,14 @@ impl DagCore {
         persist_to(&mut self.log, events);
     }
 
-    /// Replaces the attached log's contents with the snapshot `events`, if
-    /// there is a log. Panics if the snapshot cannot be written (fail-stop).
-    pub fn install_snapshot(&mut self, events: &[DagEvent<Block>]) {
+    /// Compacts the attached log, if there is one (see
+    /// [`EventLog::compact`]): decided waves not yet sealed are sealed, and
+    /// the snapshot holds this DAG plus what is above them. `residue`
+    /// returns the block of a delivered vertex the DAG no longer holds.
+    /// Panics if the compaction cannot be written (fail-stop).
+    pub fn compact_log(&mut self, residue: impl Fn(VertexId) -> Option<Block>) {
         if let Some(log) = &mut self.log {
-            log.install_snapshot(events).expect("WAL snapshot failed");
+            log.compact(&self.dag, residue).expect("WAL snapshot failed");
         }
     }
 
@@ -379,18 +382,19 @@ impl DagCore {
     }
 
     /// Garbage-collects the delivered prefix from the live DAG: every
-    /// vertex in `delivered` with round `<= up_to_round` is removed and the
-    /// pruning floor ratchets up (see [`asym_storage::prune_dag`]). Called
-    /// at snapshot time so the live DAG, the snapshot and a future replay
-    /// agree on what was forgotten. Returns the pruned vertices, whose
-    /// blocks the rider keeps to serve deep laggards.
+    /// stored vertex `is_delivered` accepts with round `<= up_to_round` is
+    /// removed and the pruning floor ratchets up (see
+    /// [`asym_storage::prune_dag`]). Called at snapshot time so the live
+    /// DAG, the snapshot and a future replay agree on what was forgotten.
+    /// Returns the pruned vertices, whose blocks the rider keeps to serve
+    /// deep laggards.
     #[must_use]
     pub fn prune_delivered(
         &mut self,
-        delivered: &BTreeSet<VertexId>,
+        is_delivered: impl Fn(VertexId) -> bool,
         up_to_round: Round,
     ) -> Vec<Vertex<Block>> {
-        asym_storage::prune_dag(&mut self.dag, delivered, up_to_round)
+        asym_storage::prune_dag(&mut self.dag, is_delivered, up_to_round)
     }
 
     /// Records `id` as delivered-and-garbage-collected without requiring

@@ -193,7 +193,7 @@ fn run_schedule(seed: u64) -> Result<Coverage, TestCaseError> {
                 let delivered: BTreeSet<VertexId> = committer.delivered().collect();
                 let top = delivered.iter().map(|id| id.round).max().unwrap_or(0);
                 let floor = rng.random_range(0..=top);
-                let _ = core.prune_delivered(&delivered, floor);
+                let _ = core.prune_delivered(|id| delivered.contains(&id), floor);
             }
             // A state install's jump past rounds this process never ran.
             _ => {

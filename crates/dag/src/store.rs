@@ -6,6 +6,7 @@
 //! dangling references.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::ops::RangeBounds;
 
 use asym_quorum::{ProcessId, ProcessSet};
 
@@ -286,6 +287,16 @@ impl<B> DagStore<B> {
     /// Iterates over the vertices of `round` in source order.
     pub fn vertices_in_round(&self, round: Round) -> impl Iterator<Item = &Vertex<B>> {
         self.rounds.get(&round).into_iter().flat_map(|m| m.values())
+    }
+
+    /// Iterates over the stored vertices of `rounds` in `(round, source)`
+    /// order, visiting only rounds that hold a vertex — so a pruned DAG is
+    /// walked at the cost of what it stores, not of its height.
+    pub fn vertices_in_rounds(
+        &self,
+        rounds: impl RangeBounds<Round>,
+    ) -> impl Iterator<Item = &Vertex<B>> {
+        self.rounds.range(rounds).flat_map(|(_, m)| m.values())
     }
 
     /// `true` if there is a path from `from` to `to` following **strong edges

@@ -1,14 +1,16 @@
 //! Storage backends: where WAL bytes physically live.
 //!
 //! The [`Wal`](crate::Wal) framing layer is backend-agnostic; a [`Storage`]
-//! implementation only has to provide two byte areas — an append-only *log*
-//! and an atomically-replaced *snapshot* blob. Two backends ship:
+//! implementation only has to provide three byte areas — an append-only
+//! *log*, an atomically-replaced *snapshot* blob, and an append-only
+//! *sealed* area holding decided history that no snapshot rewrites. Two
+//! backends ship:
 //!
 //! * [`MemStorage`] — a deterministic in-memory backend for the simulator
 //!   (and for modelling crashes: clone the bytes, drop the process);
-//! * [`FileStorage`] — a file-backed backend (`wal.log` + `snapshot.bin` in
-//!   a directory) built on `std::fs` only, so it needs no extra
-//!   dependencies.
+//! * [`FileStorage`] — a file-backed backend (`wal.log`, `snapshot.bin` and
+//!   `sealed.log` in a directory) built on `std::fs` only, so it needs no
+//!   extra dependencies.
 //!
 //! [`StorageBackend`] packs both behind one concrete type so protocol state
 //! machines can hold "some storage" without becoming generic.
@@ -52,12 +54,15 @@ impl From<std::io::Error> for StorageError {
     }
 }
 
-/// An append-only log area plus an atomically-replaced snapshot area.
+/// An append-only log area, an atomically-replaced snapshot area and an
+/// append-only sealed area.
 ///
 /// Implementations must preserve append order and must make
 /// [`Storage::write_snapshot`] + [`Storage::replace_log`] appear atomic
 /// *per call*; the [`Wal`](crate::Wal) layer tolerates a crash between the
-/// two calls (replay is idempotent).
+/// two calls (replay is idempotent). [`Storage::append_sealed`] is an fsync
+/// barrier: the snapshot that omits sealed records is written only after
+/// they are durable.
 pub trait Storage {
     /// Appends raw bytes to the end of the log area.
     ///
@@ -94,6 +99,29 @@ pub trait Storage {
     /// [`StorageError::Io`] if the medium cannot be read.
     fn read_snapshot(&self) -> Result<Option<Vec<u8>>, StorageError>;
 
+    /// Appends raw bytes to the end of the sealed area and makes them
+    /// durable before returning.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::Io`] if the medium rejects the write.
+    fn append_sealed(&mut self, bytes: &[u8]) -> Result<(), StorageError>;
+
+    /// Reads the entire sealed area (empty if nothing was ever sealed).
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::Io`] if the medium cannot be read.
+    fn read_sealed(&self) -> Result<Vec<u8>, StorageError>;
+
+    /// Truncates the sealed area to its first `len` bytes — the repair of a
+    /// torn final sealed record.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::Io`] if the medium rejects the write.
+    fn truncate_sealed(&mut self, len: usize) -> Result<(), StorageError>;
+
     /// Models the volatile-state loss of a power failure at the instant the
     /// hosting process crashed — called once by a recovering owner *before*
     /// it replays. Durable backends lose nothing and do nothing (the
@@ -118,6 +146,7 @@ pub trait Storage {
 pub struct MemStorage {
     log: Vec<u8>,
     snapshot: Option<Vec<u8>>,
+    sealed: Vec<u8>,
 }
 
 impl MemStorage {
@@ -134,6 +163,11 @@ impl MemStorage {
     /// Raw snapshot bytes (test/bench observability).
     pub fn snapshot_bytes(&self) -> Option<&[u8]> {
         self.snapshot.as_deref()
+    }
+
+    /// Raw sealed-area bytes (test/bench observability).
+    pub fn sealed_bytes(&self) -> &[u8] {
+        &self.sealed
     }
 
     /// Truncates the log to its first `len` bytes — the test hook that
@@ -175,15 +209,32 @@ impl Storage for MemStorage {
     fn read_snapshot(&self) -> Result<Option<Vec<u8>>, StorageError> {
         Ok(self.snapshot.clone())
     }
+
+    fn append_sealed(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
+        self.sealed.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    fn read_sealed(&self) -> Result<Vec<u8>, StorageError> {
+        Ok(self.sealed.clone())
+    }
+
+    fn truncate_sealed(&mut self, len: usize) -> Result<(), StorageError> {
+        self.sealed.truncate(len);
+        Ok(())
+    }
 }
 
-/// File-backed backend: `wal.log` (append-only) and `snapshot.bin`
-/// (written to a temp file, then renamed) inside one directory.
+/// File-backed backend: `wal.log` (append-only), `snapshot.bin` (written
+/// to a temp file, then renamed) and `sealed.log` (append-only) inside one
+/// directory.
 #[derive(Debug)]
 pub struct FileStorage {
     dir: PathBuf,
     /// Kept open so appends do not reopen the file per record.
     log: File,
+    /// The sealed area's append handle.
+    sealed: File,
 }
 
 impl FileStorage {
@@ -196,7 +247,8 @@ impl FileStorage {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let log = OpenOptions::new().create(true).append(true).open(dir.join("wal.log"))?;
-        Ok(FileStorage { dir, log })
+        let sealed = OpenOptions::new().create(true).append(true).open(dir.join("sealed.log"))?;
+        Ok(FileStorage { dir, log, sealed })
     }
 
     /// The directory this store lives in.
@@ -210,6 +262,10 @@ impl FileStorage {
 
     fn snapshot_path(&self) -> PathBuf {
         self.dir.join("snapshot.bin")
+    }
+
+    fn sealed_path(&self) -> PathBuf {
+        self.dir.join("sealed.log")
     }
 }
 
@@ -260,6 +316,24 @@ impl Storage for FileStorage {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e.into()),
         }
+    }
+
+    fn append_sealed(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
+        self.sealed.write_all(bytes)?;
+        self.sealed.sync_data()?;
+        Ok(())
+    }
+
+    fn read_sealed(&self) -> Result<Vec<u8>, StorageError> {
+        let mut bytes = Vec::new();
+        File::open(self.sealed_path())?.read_to_end(&mut bytes)?;
+        Ok(bytes)
+    }
+
+    fn truncate_sealed(&mut self, len: usize) -> Result<(), StorageError> {
+        self.sealed.set_len(len as u64)?;
+        self.sealed.sync_data()?;
+        Ok(())
     }
 }
 
@@ -339,6 +413,30 @@ impl Storage for StorageBackend {
         }
     }
 
+    fn append_sealed(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
+        match self {
+            StorageBackend::Mem(s) => s.append_sealed(bytes),
+            StorageBackend::File(s) => s.append_sealed(bytes),
+            StorageBackend::Faulty(s) => s.append_sealed(bytes),
+        }
+    }
+
+    fn read_sealed(&self) -> Result<Vec<u8>, StorageError> {
+        match self {
+            StorageBackend::Mem(s) => s.read_sealed(),
+            StorageBackend::File(s) => s.read_sealed(),
+            StorageBackend::Faulty(s) => s.read_sealed(),
+        }
+    }
+
+    fn truncate_sealed(&mut self, len: usize) -> Result<(), StorageError> {
+        match self {
+            StorageBackend::Mem(s) => s.truncate_sealed(len),
+            StorageBackend::File(s) => s.truncate_sealed(len),
+            StorageBackend::Faulty(s) => s.truncate_sealed(len),
+        }
+    }
+
     fn powerloss(&mut self) -> Result<(), StorageError> {
         match self {
             StorageBackend::Mem(_) | StorageBackend::File(_) => Ok(()),
@@ -369,6 +467,11 @@ mod tests {
         assert_eq!(s.read_snapshot().unwrap().unwrap(), b"snap");
         s.replace_log(b"").unwrap();
         assert!(s.read_log().unwrap().is_empty());
+        assert!(s.read_sealed().unwrap().is_empty());
+        s.append_sealed(b"se").unwrap();
+        s.append_sealed(b"aled").unwrap();
+        s.truncate_sealed(5).unwrap();
+        assert_eq!(s.read_sealed().unwrap(), b"seale");
     }
 
     #[test]

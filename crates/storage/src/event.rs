@@ -5,7 +5,9 @@
 //! quorum was observed (`tReady`), every wave decided, and every block
 //! atomically delivered. Replaying the sequence rebuilds the DAG, the
 //! delivered set and the commit log exactly — which is what makes a crashed
-//! process able to rejoin without ever delivering a block twice.
+//! process able to rejoin without ever delivering a block twice. Decided
+//! waves end up as one [`DagEvent::WaveSealed`] record each, in the WAL's
+//! append-only sealed area.
 //!
 //! The codec is a hand-rolled little-endian binary format (no serde — the
 //! workspace builds offline). Blocks are opaque to this crate; the carrying
@@ -86,6 +88,22 @@ pub enum DagEvent<B> {
         /// Its block payload.
         block: B,
     },
+    /// One decided wave, sealed: written once to the append-only sealed
+    /// area, before the snapshot that omits the wave's commit-log entry,
+    /// deliveries and residue. The shape of a delivered-state-transfer
+    /// segment.
+    WaveSealed {
+        /// The decided wave.
+        wave: WaveId,
+        /// The wave of the commit-log entry sealed just before this one
+        /// (`0` for the first) — sealed records chain like the commit log.
+        prev_wave: WaveId,
+        /// Its coin-elected leader vertex.
+        leader: VertexId,
+        /// The wave's deliveries in delivery order, each with its block when
+        /// the DAG no longer held the vertex at sealing time (the residue).
+        deliveries: Vec<(VertexId, Option<B>)>,
+    },
 }
 
 const TAG_VERTEX: u8 = 1;
@@ -94,6 +112,7 @@ const TAG_DECIDED: u8 = 3;
 const TAG_DELIVERED: u8 = 4;
 const TAG_PRUNED: u8 = 5;
 const TAG_DELIVERED_BLOCK: u8 = 6;
+const TAG_SEALED: u8 = 7;
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -109,6 +128,15 @@ fn put_set(out: &mut Vec<u8>, set: &ProcessSet) {
     for p in set {
         put_u64(out, p.index() as u64);
     }
+}
+
+/// Writes `block` length-prefixed, encoding it in place.
+fn put_block<B: BlockCodec>(out: &mut Vec<u8>, block: &B) {
+    let at = out.len();
+    put_u64(out, 0);
+    block.encode_block(out);
+    let len = (out.len() - at - 8) as u64;
+    out[at..at + 8].copy_from_slice(&len.to_le_bytes());
 }
 
 /// A bounded little-endian reader over a payload slice.
@@ -151,55 +179,81 @@ impl<'a> Reader<'a> {
         self.pos = end;
         Some(s)
     }
+
+    /// A length-prefixed block.
+    fn block<B: BlockCodec>(&mut self) -> Option<B> {
+        let len = usize::try_from(self.u64()?).ok()?;
+        if len > self.remaining() {
+            return None;
+        }
+        B::decode_block(self.take(len)?)
+    }
 }
 
 impl<B: BlockCodec> DagEvent<B> {
     /// Encodes this event as one WAL payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends this event's WAL payload to `out` — the allocation-free form
+    /// of [`DagEvent::encode`] the append path uses.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             DagEvent::VertexInserted(v) => {
                 out.push(TAG_VERTEX);
-                put_u64(&mut out, v.source().index() as u64);
-                put_u64(&mut out, v.round());
-                put_set(&mut out, v.strong_edges());
-                put_u64(&mut out, v.weak_edges().len() as u64);
+                put_u64(out, v.source().index() as u64);
+                put_u64(out, v.round());
+                put_set(out, v.strong_edges());
+                put_u64(out, v.weak_edges().len() as u64);
                 for w in v.weak_edges() {
-                    put_vid(&mut out, *w);
+                    put_vid(out, *w);
                 }
-                let mut block = Vec::new();
-                v.block().encode_block(&mut block);
-                put_u64(&mut out, block.len() as u64);
-                out.extend_from_slice(&block);
+                put_block(out, v.block());
             }
             DagEvent::WaveConfirmed { wave } => {
                 out.push(TAG_CONFIRMED);
-                put_u64(&mut out, *wave);
+                put_u64(out, *wave);
             }
             DagEvent::WaveDecided { wave, leader } => {
                 out.push(TAG_DECIDED);
-                put_u64(&mut out, *wave);
-                put_vid(&mut out, *leader);
+                put_u64(out, *wave);
+                put_vid(out, *leader);
             }
             DagEvent::BlockDelivered { id, wave } => {
                 out.push(TAG_DELIVERED);
-                put_vid(&mut out, *id);
-                put_u64(&mut out, *wave);
+                put_vid(out, *id);
+                put_u64(out, *wave);
             }
             DagEvent::Pruned { up_to_round } => {
                 out.push(TAG_PRUNED);
-                put_u64(&mut out, *up_to_round);
+                put_u64(out, *up_to_round);
             }
             DagEvent::DeliveredBlock { id, block } => {
                 out.push(TAG_DELIVERED_BLOCK);
-                put_vid(&mut out, *id);
-                let mut bytes = Vec::new();
-                block.encode_block(&mut bytes);
-                put_u64(&mut out, bytes.len() as u64);
-                out.extend_from_slice(&bytes);
+                put_vid(out, *id);
+                put_block(out, block);
+            }
+            DagEvent::WaveSealed { wave, prev_wave, leader, deliveries } => {
+                out.push(TAG_SEALED);
+                put_u64(out, *wave);
+                put_u64(out, *prev_wave);
+                put_vid(out, *leader);
+                put_u64(out, deliveries.len() as u64);
+                for (id, block) in deliveries {
+                    put_vid(out, *id);
+                    match block {
+                        Some(block) => {
+                            out.push(1);
+                            put_block(out, block);
+                        }
+                        None => out.push(0),
+                    }
+                }
             }
         }
-        out
     }
 
     /// Decodes one event from exactly `payload` — `None` on any structural
@@ -231,11 +285,7 @@ impl<B: BlockCodec> DagEvent<B> {
                 for _ in 0..weak_len {
                     weak.push(r.vid()?);
                 }
-                let block_len = usize::try_from(r.u64()?).ok()?;
-                if block_len > r.remaining() {
-                    return None;
-                }
-                let block = B::decode_block(r.take(block_len)?)?;
+                let block = r.block()?;
                 // Re-check the Vertex constructor invariants so hostile
                 // bytes cannot reach its panics.
                 if round == 0 && (!strong.is_empty() || !weak.is_empty()) {
@@ -256,13 +306,25 @@ impl<B: BlockCodec> DagEvent<B> {
             TAG_DECIDED => DagEvent::WaveDecided { wave: r.u64()?, leader: r.vid()? },
             TAG_DELIVERED => DagEvent::BlockDelivered { id: r.vid()?, wave: r.u64()? },
             TAG_PRUNED => DagEvent::Pruned { up_to_round: r.u64()? },
-            TAG_DELIVERED_BLOCK => {
-                let id = r.vid()?;
-                let block_len = usize::try_from(r.u64()?).ok()?;
-                if block_len > r.remaining() {
+            TAG_DELIVERED_BLOCK => DagEvent::DeliveredBlock { id: r.vid()?, block: r.block()? },
+            TAG_SEALED => {
+                let (wave, prev_wave, leader) = (r.u64()?, r.u64()?, r.vid()?);
+                let len = usize::try_from(r.u64()?).ok()?;
+                // Each delivery costs ≥17 bytes; reject absurd counts early.
+                if len > r.remaining() / 17 {
                     return None;
                 }
-                DagEvent::DeliveredBlock { id, block: B::decode_block(r.take(block_len)?)? }
+                let mut deliveries = Vec::with_capacity(len);
+                for _ in 0..len {
+                    let id = r.vid()?;
+                    let block = match r.u8()? {
+                        0 => None,
+                        1 => Some(r.block()?),
+                        _ => return None,
+                    };
+                    deliveries.push((id, block));
+                }
+                DagEvent::WaveSealed { wave, prev_wave, leader, deliveries }
             }
             _ => return None,
         };
@@ -290,6 +352,8 @@ impl<B: BlockCodec> DagEvent<B> {
 ///   barriers: they are persisted *before* the delivery is handed to the
 ///   environment, and a delivery the application saw must survive the
 ///   crash or it would be re-delivered;
+/// * sealed waves ([`DagEvent::WaveSealed`]) — barriers: they are durable
+///   before the snapshot that omits them is written;
 /// * malformed payloads and [`DagEvent::Pruned`] markers — barriers
 ///   (conservative: never widen the damage window on bytes we do not
 ///   understand).
@@ -334,6 +398,22 @@ mod tests {
             DagEvent::Pruned { up_to_round: 8 },
             DagEvent::DeliveredBlock { id: VertexId::new(3, pid(1)), block: vec![9, 8, 7] },
             DagEvent::DeliveredBlock { id: VertexId::new(2, pid(0)), block: vec![] },
+            DagEvent::WaveSealed {
+                wave: 3,
+                prev_wave: 1,
+                leader: VertexId::new(9, pid(2)),
+                deliveries: vec![
+                    (VertexId::new(6, pid(0)), Some(vec![4, 5])),
+                    (VertexId::new(7, pid(1)), None),
+                    (VertexId::new(9, pid(2)), Some(vec![])),
+                ],
+            },
+            DagEvent::WaveSealed {
+                wave: 1,
+                prev_wave: 0,
+                leader: VertexId::new(1, pid(0)),
+                deliveries: vec![],
+            },
         ];
         for ev in events {
             let bytes = ev.encode();
@@ -350,14 +430,34 @@ mod tests {
 
     #[test]
     fn truncated_payload_rejected() {
-        let bytes = DagEvent::VertexInserted(sample_vertex()).encode();
-        for cut in 0..bytes.len() {
-            assert_eq!(
-                DagEvent::<Vec<u8>>::decode(&bytes[..cut]),
-                None,
-                "decode accepted a {cut}-byte prefix"
-            );
+        let sealed = DagEvent::WaveSealed {
+            wave: 2,
+            prev_wave: 1,
+            leader: VertexId::new(5, pid(1)),
+            deliveries: vec![
+                (VertexId::new(4, pid(0)), Some(vec![1, 2])),
+                (VertexId::new(5, pid(1)), None),
+            ],
+        };
+        for event in [DagEvent::VertexInserted(sample_vertex()), sealed] {
+            let bytes = event.encode();
+            for cut in 0..bytes.len() {
+                assert_eq!(
+                    DagEvent::<Vec<u8>>::decode(&bytes[..cut]),
+                    None,
+                    "decode accepted a {cut}-byte prefix"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn encode_into_appends_exactly_the_encoding() {
+        let mut out = vec![0xAB];
+        let event = DagEvent::VertexInserted(sample_vertex());
+        event.encode_into(&mut out);
+        assert_eq!(out[0], 0xAB);
+        assert_eq!(&out[1..], &event.encode()[..]);
     }
 
     #[test]
@@ -399,6 +499,13 @@ mod tests {
         let residue =
             DagEvent::<Vec<u8>>::DeliveredBlock { id: VertexId::new(2, pid(1)), block: vec![1] };
         assert!(!payload_is_volatile(&residue.encode(), me), "transferable residue is a barrier");
+        let sealed = DagEvent::<Vec<u8>>::WaveSealed {
+            wave: 1,
+            prev_wave: 0,
+            leader: VertexId::new(1, pid(0)),
+            deliveries: vec![(VertexId::new(1, pid(0)), Some(vec![1]))],
+        };
+        assert!(!payload_is_volatile(&sealed.encode(), me), "a sealed wave is a barrier");
         // Garbage: a barrier, never widening the damage window.
         assert!(!payload_is_volatile(&[], me));
         assert!(!payload_is_volatile(&[99, 1, 2], me));

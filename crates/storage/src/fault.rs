@@ -21,6 +21,11 @@
 //!   subsequent log truncation was lost, leaving snapshot and log
 //!   overlapping (replay must be idempotent over the overlap).
 //!
+//! The sealed area is never damaged: sealed records are fsync barriers,
+//! durable before the snapshot that omits them is written. So a reverted
+//! snapshot may come back alongside sealed waves newer than it, and replay
+//! must be idempotent over that overlap too.
+//!
 //! In every case the surviving log is a *prefix* of what was appended
 //! (possibly re-extended by pre-snapshot history), so a correct replay
 //! recovers a consistent earlier state or hard-errors — it never silently
@@ -233,6 +238,18 @@ impl<S: Storage> Storage for FaultyStorage<S> {
 
     fn read_snapshot(&self) -> Result<Option<Vec<u8>>, StorageError> {
         self.inner.read_snapshot()
+    }
+
+    fn append_sealed(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
+        self.inner.append_sealed(bytes)
+    }
+
+    fn read_sealed(&self) -> Result<Vec<u8>, StorageError> {
+        self.inner.read_sealed()
+    }
+
+    fn truncate_sealed(&mut self, len: usize) -> Result<(), StorageError> {
+        self.inner.truncate_sealed(len)
     }
 
     fn powerloss(&mut self) -> Result<(), StorageError> {

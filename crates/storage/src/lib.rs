@@ -10,15 +10,18 @@
 //! * [`Storage`] — the backend trait, with [`MemStorage`] (deterministic,
 //!   for the simulator), [`FileStorage`] (`std::fs`, no extra deps) and the
 //!   type-erasing [`StorageBackend`] enum;
-//! * [`Wal`] — length-prefixed + FNV-1a-checksummed record framing with a
-//!   snapshot area; torn tails are dropped, corrupt records are hard
-//!   errors;
+//! * [`Wal`] — length-prefixed + FNV-1a-checksummed record framing over
+//!   three areas: the log, the snapshot and the append-only sealed area;
+//!   torn tails are dropped, corrupt records are hard errors;
 //! * [`DagEvent`] — the durable event vocabulary (vertex inserted, wave
 //!   confirmed, wave decided, block delivered) with a hand-rolled binary
 //!   codec ([`BlockCodec`] abstracts the block payload);
 //! * [`EventLog`] — the typed WAL a running process appends to, with
-//!   cadence-driven snapshot compaction;
-//! * [`RecoveredState`] — replay: fold snapshot + log back into a
+//!   cadence-driven compaction that costs O(window): decided waves are
+//!   sealed once into the sealed area ([`DagEvent::WaveSealed`]) and the
+//!   snapshot holds only what is above them;
+//! * [`RecoveredState`] — replay: fold sealed area + snapshot + log back
+//!   into a
 //!   [`DagStore`](asym_dag::DagStore), the delivered set, the commit log
 //!   and the confirmed-wave set, so a restarted process rejoins without
 //!   ever delivering a block twice;
@@ -26,13 +29,14 @@
 //!   [`prune_dag`] garbage-collect the delivered-prefix *vertices* (the
 //!   [`DagEvent::Pruned`] marker makes pruned snapshots self-describing),
 //!   the way production DAG BFTs bound their stores; the delivered-set
-//!   ids themselves are retained — they are what blocks re-delivery — so
-//!   snapshots shrink to frontier-plus-bookkeeping rather than a hard
-//!   constant bound;
+//!   ids themselves are retained — they are what blocks re-delivery — in
+//!   the sealed records, so a snapshot holds the stored vertices plus the
+//!   little bookkeeping above the sealed watermark;
 //! * [`FaultyStorage`] — deterministic powerloss injection (torn final
-//!   append, dropped unsynced suffix, lost/reordered snapshot rename)
-//!   behind the [`Storage::powerloss`] hook, so crash-recovery is tested
-//!   against what real disks do, not only clean shutdowns.
+//!   append, dropped unsynced suffix, lost/reordered snapshot rename; the
+//!   sealed area is an fsync barrier and survives) behind the
+//!   [`Storage::powerloss`] hook, so crash-recovery is tested against what
+//!   real disks do, not only clean shutdowns.
 //!
 //! The consensus crate (`asym-core`) implements [`BlockCodec`] for its
 //! block type and drives the log from its insert/deliver/decide hooks; the
@@ -79,7 +83,7 @@ mod wal;
 pub use backend::{FileStorage, MemStorage, Storage, StorageBackend, StorageError};
 pub use event::{payload_is_volatile, BlockCodec, DagEvent};
 pub use fault::{FaultyStorage, PowerlossPlan, VolatilePolicy};
-pub use replay::{prune_dag, snapshot_events, EventLog, ReadEvents, RecoveredState};
+pub use replay::{prune_dag, EventLog, ReadEvents, RecoveredState};
 pub use wal::{
     checksum, decode_area, frame_record, DecodedArea, Wal, WalContents, WalStats,
     DEFAULT_SNAPSHOT_EVERY, RECORD_HEADER_BYTES,

@@ -2,13 +2,18 @@
 //! WAL back into DAG-consensus state.
 //!
 //! [`EventLog`] is the handle a running process holds: it appends
-//! [`DagEvent`]s, suggests when to compact, and installs snapshots (which
-//! are themselves just compacted event sequences — one codec, one replay
-//! path). [`RecoveredState::replay`] is what a restarted process calls: it
-//! reads snapshot + log, drops a torn tail, rejects corruption, and folds
-//! the surviving events into the DAG, the delivered set, the commit log and
-//! the confirmed-wave set. Replay is idempotent (duplicate events are
-//! skipped), so a crash between "write snapshot" and "truncate log" still
+//! [`DagEvent`]s, suggests when to compact, and compacts (snapshots are
+//! themselves just compacted event sequences — one codec, one replay path).
+//! A compaction first seals every decided wave appended since the last one
+//! into the append-only sealed area, one [`DagEvent::WaveSealed`] each, and
+//! then installs a snapshot of the window only: the pruning marker, the
+//! stored vertices and whatever is not sealed yet. So one compaction costs
+//! O(window), not O(history). [`RecoveredState::replay`] is what a
+//! restarted process calls: it reads the sealed area, the snapshot and the
+//! log, drops a torn tail, rejects corruption, and folds the surviving
+//! events into the DAG, the delivered set, the commit log and the
+//! confirmed-wave set. Replay is idempotent (duplicate events are skipped),
+//! so a crash between "seal", "write snapshot" and "truncate log" still
 //! recovers.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -38,13 +43,16 @@ use crate::wal::{Wal, WalStats};
 #[derive(Clone, Debug)]
 pub struct EventLog<B, S> {
     wal: Wal<S>,
+    /// The decided history this log holds outside its sealed area — what
+    /// the next compaction seals.
+    unsealed: Unsealed,
     _block: PhantomData<fn() -> B>,
 }
 
 impl<B: BlockCodec + Clone, S: Storage> EventLog<B, S> {
     /// Wraps a backend (default snapshot cadence).
     pub fn new(backend: S) -> Self {
-        EventLog { wal: Wal::new(backend), _block: PhantomData }
+        EventLog { wal: Wal::new(backend), unsealed: Unsealed::default(), _block: PhantomData }
     }
 
     /// Overrides the snapshot cadence (`0` disables suggestions).
@@ -54,33 +62,60 @@ impl<B: BlockCodec + Clone, S: Storage> EventLog<B, S> {
         self
     }
 
-    /// Appends one event.
+    /// Appends one event, encoded and framed in place.
     ///
     /// # Errors
     ///
     /// [`StorageError::Io`] if the backend rejects the write.
     pub fn append(&mut self, event: &DagEvent<B>) -> Result<(), StorageError> {
-        self.wal.append(&event.encode())
+        self.wal.append_with(|out| event.encode_into(out))?;
+        self.unsealed.note(event);
+        Ok(())
     }
 
-    /// `true` once enough events accumulated that the owner should compact
-    /// its full state into [`EventLog::install_snapshot`].
+    /// `true` once enough events accumulated that the owner should
+    /// [compact](EventLog::compact).
     pub fn should_snapshot(&self) -> bool {
         self.wal.should_snapshot()
     }
 
-    /// Installs a snapshot: `events` must be a compacted encoding of the
-    /// owner's *entire* current state, because the log is truncated.
+    /// Compacts the log. Every decided wave appended since the last
+    /// compaction is sealed first — one [`DagEvent::WaveSealed`] each in
+    /// the sealed area, durable before anything else is written — and
+    /// confirmed waves at or below the sealed watermark follow it there.
+    /// Then the snapshot of the window replaces the snapshot area and the
+    /// log is truncated: the [`DagEvent::Pruned`] marker, every vertex
+    /// stored in `dag`, and whatever is not sealed. `residue` returns the
+    /// block of a delivered vertex `dag` no longer holds. The cost is
+    /// O(window): nothing below the sealed watermark is read.
     ///
     /// # Errors
     ///
-    /// [`StorageError::Io`] if the backend rejects the writes.
-    pub fn install_snapshot(&mut self, events: &[DagEvent<B>]) -> Result<(), StorageError> {
-        let encoded: Vec<Vec<u8>> = events.iter().map(DagEvent::encode).collect();
-        self.wal.install_snapshot(&encoded)
+    /// [`StorageError::Io`] if the backend rejects a write.
+    pub fn compact(
+        &mut self,
+        dag: &DagStore<B>,
+        residue: impl Fn(VertexId) -> Option<B>,
+    ) -> Result<(), StorageError> {
+        let compaction = self.unsealed.compact(dag, residue);
+        self.wal.append_sealed(&compaction.sealed, DagEvent::encode_into)?;
+        self.wal.install_snapshot_with(&compaction.snapshot, DagEvent::encode_into)
     }
 
-    /// Decodes every persisted event, snapshot first, in append order.
+    /// Compacts `state` as a whole into this log: its entire commit log is
+    /// sealed (again, if this log sealed part of it before — replay skips
+    /// the duplicates) and its window becomes the snapshot, exactly as
+    /// [`EventLog::compact`] writes them.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::Io`] if the backend rejects a write.
+    pub fn compact_from(&mut self, state: &RecoveredState<B>) -> Result<(), StorageError> {
+        self.unsealed = Unsealed::everything(state);
+        self.compact(&state.dag, |id| state.delivered_blocks.get(&id).cloned())
+    }
+
+    /// Decodes every persisted event — sealed area, snapshot, log tail.
     ///
     /// # Errors
     ///
@@ -96,6 +131,7 @@ impl<B: BlockCodec + Clone, S: Storage> EventLog<B, S> {
             })?);
         }
         Ok(ReadEvents {
+            from_sealed: contents.sealed.len(),
             from_snapshot: contents.snapshot.len(),
             torn_tail_bytes: contents.torn_tail_bytes,
             events,
@@ -115,6 +151,24 @@ impl<B: BlockCodec + Clone, S: Storage> EventLog<B, S> {
     ) -> Result<RecoveredState<B>, StorageError> {
         let read = self.events()?;
         RecoveredState::replay(&read, n, me, genesis)
+    }
+
+    /// Replays the log for an owner that resumes appending to it: like
+    /// [`EventLog::replay`], and this handle adopts what the replayed
+    /// state has not sealed, so its next compaction seals exactly that.
+    ///
+    /// # Errors
+    ///
+    /// Propagates corruption and I/O errors from [`EventLog::events`].
+    pub fn recover(
+        &mut self,
+        n: usize,
+        me: ProcessId,
+        genesis: B,
+    ) -> Result<RecoveredState<B>, StorageError> {
+        let state = self.replay(n, me, genesis)?;
+        self.unsealed = state.unsealed.clone();
+        Ok(state)
     }
 
     /// WAL activity counters.
@@ -139,7 +193,7 @@ impl<B: BlockCodec + Clone, S: Storage> EventLog<B, S> {
         self.wal.backend_mut().powerloss()
     }
 
-    /// Truncates a torn final record off the log (see
+    /// Truncates a torn final record off the log and the sealed area (see
     /// [`Wal::repair_torn_tail`]) — mandatory before a recovered owner
     /// appends again.
     ///
@@ -164,12 +218,125 @@ impl<B: BlockCodec + Clone, S: Storage> EventLog<B, S> {
 /// Every decoded event plus provenance counters.
 #[derive(Clone, Debug)]
 pub struct ReadEvents<B> {
-    /// The events, snapshot records first, then the log tail.
+    /// The events: sealed records first, then snapshot records, then the
+    /// log tail.
     pub events: Vec<DagEvent<B>>,
+    /// How many of them came from the sealed area.
+    pub from_sealed: usize,
     /// How many of them came from the snapshot area.
     pub from_snapshot: usize,
-    /// Torn bytes dropped from the end of the log.
+    /// Torn bytes dropped from the ends of the log and the sealed area.
     pub torn_tail_bytes: usize,
+}
+
+/// Decided history outside the sealed area — what the next compaction
+/// seals. A live [`EventLog`] notes it from the events it appends; replay
+/// rebuilds it from the events it reads outside the sealed area.
+#[derive(Clone, Debug, Default)]
+struct Unsealed {
+    /// The last sealed wave (`0` = nothing sealed).
+    sealed_wave: WaveId,
+    /// Commit-log entries above `sealed_wave`, in commit order.
+    log: Vec<(WaveId, VertexId)>,
+    /// Deliveries not yet sealed, with the wave whose commit ordered each.
+    deliveries: Vec<(VertexId, WaveId)>,
+    /// Confirmed waves not yet sealed.
+    confirmed: BTreeSet<WaveId>,
+}
+
+/// One compaction: records for the sealed area, written first, and the
+/// snapshot that omits them.
+struct Compaction<B> {
+    sealed: Vec<DagEvent<B>>,
+    snapshot: Vec<DagEvent<B>>,
+}
+
+impl Unsealed {
+    /// The whole of `state`'s decided history, none of it sealed.
+    fn everything<B>(state: &RecoveredState<B>) -> Self {
+        let tag = |id: &VertexId| state.delivered_waves.get(id).copied().unwrap_or(0);
+        Unsealed {
+            sealed_wave: 0,
+            log: state.commit_log.clone(),
+            deliveries: state.delivered.iter().map(|id| (*id, tag(id))).collect(),
+            confirmed: state.confirmed_waves.clone(),
+        }
+    }
+
+    /// Records the decided history `event` adds.
+    fn note<B>(&mut self, event: &DagEvent<B>) {
+        match event {
+            DagEvent::WaveDecided { wave, leader } => self.log.push((*wave, *leader)),
+            DagEvent::BlockDelivered { id, wave } => self.deliveries.push((*id, *wave)),
+            DagEvent::WaveConfirmed { wave } => {
+                self.confirmed.insert(*wave);
+            }
+            DagEvent::WaveSealed { wave, leader, deliveries, .. } => {
+                self.log.push((*wave, *leader));
+                self.deliveries.extend(deliveries.iter().map(|(id, _)| (*id, *wave)));
+            }
+            DagEvent::VertexInserted(_)
+            | DagEvent::Pruned { .. }
+            | DagEvent::DeliveredBlock { .. } => {}
+        }
+    }
+
+    /// The single definition of compaction, shared by live processes
+    /// ([`EventLog::compact`]) and recovered state
+    /// ([`EventLog::compact_from`]). Seals every unsealed commit-log entry
+    /// as one [`DagEvent::WaveSealed`], chained on the previous one, with
+    /// the deliveries tagged with its wave in `(round, source)` order —
+    /// the delivery order — each carrying its block from `residue` when
+    /// `dag` no longer holds the vertex. Confirmed waves at or below the
+    /// new watermark are sealed after them. The snapshot is then the
+    /// window: the [`DagEvent::Pruned`] marker of a pruned DAG, the stored
+    /// vertices in `(round, source)` order (parents before children), the
+    /// confirmed waves above the watermark, and any delivery whose wave has
+    /// no unsealed commit-log entry (sorted, with its residue block) —
+    /// which a process that records every delivery with its decision
+    /// never has.
+    fn compact<B: Clone>(
+        &mut self,
+        dag: &DagStore<B>,
+        residue: impl Fn(VertexId) -> Option<B>,
+    ) -> Compaction<B> {
+        let block = |id: VertexId| if dag.contains(id) { None } else { residue(id) };
+        self.deliveries.sort_unstable_by_key(|(id, wave)| (*wave, *id));
+        let mut deliveries = std::mem::take(&mut self.deliveries).into_iter().peekable();
+        let mut sealed = Vec::with_capacity(self.log.len());
+        for (wave, leader) in std::mem::take(&mut self.log) {
+            while let Some(d) = deliveries.next_if(|(_, w)| *w < wave) {
+                self.deliveries.push(d);
+            }
+            let mut ids = Vec::new();
+            while let Some((id, _)) = deliveries.next_if(|(_, w)| *w == wave) {
+                ids.push((id, block(id)));
+            }
+            let prev_wave = std::mem::replace(&mut self.sealed_wave, wave);
+            sealed.push(DagEvent::WaveSealed { wave, prev_wave, leader, deliveries: ids });
+        }
+        self.deliveries.extend(deliveries);
+        let above = self.confirmed.split_off(&(self.sealed_wave + 1));
+        let below = std::mem::replace(&mut self.confirmed, above);
+        sealed.extend(below.into_iter().map(|wave| DagEvent::WaveConfirmed { wave }));
+
+        let mut snapshot = Vec::new();
+        if dag.pruned_floor() > 0 {
+            snapshot.push(DagEvent::Pruned { up_to_round: dag.pruned_floor() });
+        }
+        snapshot.extend(dag.vertices_in_rounds(1..).map(|v| DagEvent::VertexInserted(v.clone())));
+        snapshot.extend(self.confirmed.iter().map(|&wave| DagEvent::WaveConfirmed { wave }));
+        self.deliveries.sort_unstable();
+        for &(id, wave) in &self.deliveries {
+            snapshot.push(DagEvent::BlockDelivered { id, wave });
+        }
+        for &(id, _) in &self.deliveries {
+            if let Some(block) = block(id) {
+                snapshot.push(DagEvent::DeliveredBlock { id, block });
+            }
+        }
+        Compaction { sealed, snapshot }
+    }
 }
 
 /// Consensus state rebuilt from a WAL — the data a restarted process needs
@@ -198,6 +365,8 @@ pub struct RecoveredState<B> {
     pub commit_log: Vec<(WaveId, VertexId)>,
     /// The last decided wave.
     pub decided_wave: WaveId,
+    /// The last wave read from the sealed area (`0` = nothing sealed).
+    pub sealed_wave: WaveId,
     /// Waves whose CONFIRM quorum (`tReady`) had been observed.
     pub confirmed_waves: BTreeSet<WaveId>,
     /// The pruning floor inherited from the snapshot: delivered vertices in
@@ -208,22 +377,27 @@ pub struct RecoveredState<B> {
     pub events_total: usize,
     /// Events that came from the snapshot area.
     pub events_from_snapshot: usize,
-    /// Torn bytes dropped from the log tail.
+    /// Torn bytes dropped from the ends of the log and the sealed area.
     pub torn_tail_bytes: usize,
+    /// The decided history read from outside the sealed area.
+    unsealed: Unsealed,
 }
 
 impl<B: BlockCodec + Clone> RecoveredState<B> {
     /// Folds decoded events into recovered state.
     ///
     /// Idempotent per event: duplicate vertex inserts, deliveries, confirms
-    /// and already-decided waves are skipped, so snapshot/log overlap after
-    /// a mid-compaction crash is harmless.
+    /// and already-decided waves are skipped, so the overlaps a crash
+    /// mid-compaction leaves — sealed waves newer than a reverted snapshot,
+    /// or a snapshot next to the log it should have truncated — are
+    /// harmless.
     ///
     /// # Errors
     ///
     /// [`StorageError::Corrupt`] if a vertex event references a parent that
-    /// no prior event inserted — an append-order violation that a correct
-    /// process can never have written.
+    /// no prior event inserted, or a sealed wave does not chain onto the
+    /// commit log — an append-order violation that a correct process can
+    /// never have written.
     pub fn replay(
         read: &ReadEvents<B>,
         n: usize,
@@ -238,11 +412,13 @@ impl<B: BlockCodec + Clone> RecoveredState<B> {
             delivered_blocks: BTreeMap::new(),
             commit_log: Vec::new(),
             decided_wave: 0,
+            sealed_wave: 0,
             confirmed_waves: BTreeSet::new(),
             pruned_round: 0,
             events_total: read.events.len(),
             events_from_snapshot: read.from_snapshot,
             torn_tail_bytes: read.torn_tail_bytes,
+            unsealed: Unsealed::default(),
         };
         // Pre-pass: reconstruct the pruned set. An id the log *delivers*
         // but never *inserts* was garbage-collected after delivery — its
@@ -260,6 +436,9 @@ impl<B: BlockCodec + Clone> RecoveredState<B> {
                     DagEvent::BlockDelivered { id, .. } => {
                         delivered_ids.insert(*id);
                     }
+                    DagEvent::WaveSealed { deliveries, .. } => {
+                        delivered_ids.extend(deliveries.iter().map(|(id, _)| *id));
+                    }
                     _ => {}
                 }
             }
@@ -270,7 +449,7 @@ impl<B: BlockCodec + Clone> RecoveredState<B> {
             }
         }
         for (i, event) in read.events.iter().enumerate() {
-            match event {
+            let fresh = match event {
                 DagEvent::VertexInserted(v) => {
                     if v.round() == 0 {
                         continue; // genesis is hard-coded, never logged
@@ -289,37 +468,52 @@ impl<B: BlockCodec + Clone> RecoveredState<B> {
                             })
                         }
                     }
+                    false
                 }
-                DagEvent::WaveConfirmed { wave } => {
-                    state.confirmed_waves.insert(*wave);
-                }
-                DagEvent::WaveDecided { wave, leader } => {
-                    if *wave > state.decided_wave
-                        && !state.commit_log.iter().any(|(w, _)| w == wave)
-                    {
-                        state.commit_log.push((*wave, *leader));
-                    }
-                    state.decided_wave = state.decided_wave.max(*wave);
-                }
-                DagEvent::BlockDelivered { id, wave } => {
-                    state.delivered.insert(*id);
-                    // Keep the strongest wave tag seen (snapshot/log overlap
-                    // after a mid-compaction crash may record both).
-                    let tag = state.delivered_waves.entry(*id).or_insert(*wave);
-                    if *tag == 0 {
-                        *tag = *wave;
-                    }
-                }
+                DagEvent::WaveConfirmed { wave } => state.confirmed_waves.insert(*wave),
+                DagEvent::WaveDecided { wave, leader } => state.decide(*wave, *leader),
+                DagEvent::BlockDelivered { id, wave } => state.deliver(*id, *wave),
                 DagEvent::Pruned { up_to_round } => {
                     // Floor metadata (the pruned *ids* were reconstructed
                     // in the pre-pass above).
                     state.dag.set_pruned_floor(*up_to_round);
+                    false
                 }
                 DagEvent::DeliveredBlock { id, block } => {
                     state.delivered_blocks.insert(*id, block.clone());
+                    false
                 }
+                DagEvent::WaveSealed { wave, prev_wave, leader, deliveries } => {
+                    let last = state.commit_log.last().map_or(0, |(w, _)| *w);
+                    if *wave > state.decided_wave && *prev_wave != last {
+                        return Err(StorageError::Corrupt {
+                            offset: i,
+                            detail: format!(
+                                "sealed wave {wave} chains onto wave {prev_wave}, but the commit \
+                                 log ends at wave {last}"
+                            ),
+                        });
+                    }
+                    let fresh = state.decide(*wave, *leader);
+                    for (id, block) in deliveries {
+                        state.deliver(*id, *wave);
+                        if let Some(block) = block {
+                            state.delivered_blocks.insert(*id, block.clone());
+                        }
+                    }
+                    if i < read.from_sealed {
+                        state.sealed_wave = state.sealed_wave.max(*wave);
+                    }
+                    fresh
+                }
+            };
+            // What the sealed area holds is sealed; anything new read
+            // after it is what the next compaction must seal.
+            if fresh && i >= read.from_sealed {
+                state.unsealed.note(event);
             }
         }
+        state.unsealed.sealed_wave = state.sealed_wave;
         state.pruned_round = state.dag.pruned_floor();
         // A pruned own prefix must never shrink the round counter: reusing
         // a round number after recovery would be honest equivocation. The
@@ -330,25 +524,29 @@ impl<B: BlockCodec + Clone> RecoveredState<B> {
         Ok(state)
     }
 
-    /// Compacts this state back into the minimal event sequence that
-    /// replays to it — what [`EventLog::install_snapshot`] persists.
-    ///
-    /// Vertices are emitted in `(round, source)` order (parents always
-    /// precede children), then confirmed waves, then the commit log in
-    /// order, then the delivered set. A state recovered from a pruned
-    /// snapshot keeps its [`DagEvent::Pruned`] marker (the DAG carries the
-    /// floor), so re-compacting never silently promises vertices the DAG no
-    /// longer holds.
-    pub fn to_snapshot_events(&self) -> Vec<DagEvent<B>> {
-        snapshot_events(
-            &self.dag,
-            self.confirmed_waves.iter().copied(),
-            &self.commit_log,
-            self.delivered
-                .iter()
-                .map(|id| (*id, self.delivered_waves.get(id).copied().unwrap_or(0))),
-            self.delivered_blocks.iter().map(|(id, b)| (*id, b.clone())),
-        )
+    /// Appends `(wave, leader)` to the commit log unless the wave is
+    /// already decided; `true` if it was new.
+    fn decide(&mut self, wave: WaveId, leader: VertexId) -> bool {
+        // The commit log never holds a wave above `decided_wave`, so this
+        // one check also skips duplicates.
+        let fresh = wave > self.decided_wave;
+        if fresh {
+            self.commit_log.push((wave, leader));
+            self.decided_wave = wave;
+        }
+        fresh
+    }
+
+    /// Records `id` as delivered by `wave`'s commit; `true` if it was new.
+    fn deliver(&mut self, id: VertexId, wave: WaveId) -> bool {
+        let fresh = self.delivered.insert(id);
+        // Keep the strongest wave tag seen (snapshot/log overlap after a
+        // mid-compaction crash may record both).
+        let tag = self.delivered_waves.entry(id).or_insert(wave);
+        if *tag == 0 {
+            *tag = wave;
+        }
+        fresh
     }
 
     /// Garbage-collects the delivered prefix: drops every *delivered*
@@ -357,15 +555,16 @@ impl<B: BlockCodec + Clone> RecoveredState<B> {
     /// the delivered prefix stays transferable as certified outputs) and
     /// ratchets the pruning floor. The delivered set, commit log and
     /// confirmed waves are untouched — they are what keeps re-delivery
-    /// impossible — so replay of a subsequently compacted snapshot
-    /// reproduces exactly this state.
+    /// impossible — so replay of a subsequently compacted log reproduces
+    /// exactly this state.
     /// Undelivered old vertices are retained: they may still enter a later
     /// leader's causal history via weak edges (and every path to an
     /// undelivered vertex runs through undelivered vertices only — a
     /// delivered intermediate would have delivered its whole ancestry —
     /// so pruning the delivered set can never hide one).
     pub fn prune_delivered(&mut self, up_to_round: Round) {
-        for v in prune_dag(&mut self.dag, &self.delivered, up_to_round) {
+        let delivered = &self.delivered;
+        for v in prune_dag(&mut self.dag, |id| delivered.contains(&id), up_to_round) {
             self.delivered_blocks.insert(v.id(), v.into_block());
         }
         self.pruned_round = self.dag.pruned_floor();
@@ -375,21 +574,24 @@ impl<B: BlockCodec + Clone> RecoveredState<B> {
 /// Drops every *delivered* vertex in rounds `<= up_to_round` from `dag`,
 /// recording each pruned identity — the in-place half of WAL pruning,
 /// shared by [`RecoveredState::prune_delivered`] and live snapshot
-/// compaction. Undelivered old vertices are untouched. Returns the pruned
-/// vertices so the caller can harvest their blocks into a transferable
-/// delivered-state store (dropping them entirely would make the delivered
-/// prefix unservable to deep laggards).
+/// compaction. `is_delivered` answers for the owner's delivered set in
+/// place; only stored vertices are visited, so the cost follows the DAG,
+/// not the history. Undelivered old vertices are untouched. Returns the
+/// pruned vertices so the caller can harvest their blocks into a
+/// transferable delivered-state store (dropping them entirely would make
+/// the delivered prefix unservable to deep laggards).
 pub fn prune_dag<B>(
     dag: &mut DagStore<B>,
-    delivered: &BTreeSet<VertexId>,
+    is_delivered: impl Fn(VertexId) -> bool,
     up_to_round: Round,
 ) -> Vec<Vertex<B>> {
     if up_to_round == 0 {
         return Vec::new();
     }
-    let prunable: Vec<VertexId> = (1..=up_to_round.min(dag.max_round().unwrap_or(0)))
-        .flat_map(|r| dag.vertices_in_round(r).map(|v| v.id()).collect::<Vec<_>>())
-        .filter(|id| delivered.contains(id))
+    let prunable: Vec<VertexId> = dag
+        .vertices_in_rounds(1..=up_to_round)
+        .map(Vertex::id)
+        .filter(|id| is_delivered(*id))
         .collect();
     let mut pruned = Vec::with_capacity(prunable.len());
     for id in prunable {
@@ -397,58 +599,6 @@ pub fn prune_dag<B>(
     }
     dag.set_pruned_floor(up_to_round);
     pruned
-}
-
-/// Compacts consensus state into the canonical snapshot event sequence —
-/// the single definition of the snapshot ordering contract, shared by
-/// [`RecoveredState::to_snapshot_events`] and by live processes that
-/// compact without materializing a `RecoveredState`. A pruned DAG
-/// (non-zero [`DagStore::pruned_floor`]) leads with its
-/// [`DagEvent::Pruned`] marker; then vertices in `(round, source)` order
-/// (parents always precede children), then the confirmed waves and the
-/// commit log in order, then the delivered set (sorted, each entry tagged
-/// with the wave whose commit ordered it — the grouping delivered-state
-/// transfer serves), then the transferable block residue
-/// ([`DagEvent::DeliveredBlock`], sorted) of delivered vertices absent
-/// from the DAG.
-pub fn snapshot_events<B: Clone>(
-    dag: &DagStore<B>,
-    confirmed_waves: impl IntoIterator<Item = WaveId>,
-    commit_log: &[(WaveId, VertexId)],
-    delivered: impl IntoIterator<Item = (VertexId, WaveId)>,
-    delivered_blocks: impl IntoIterator<Item = (VertexId, B)>,
-) -> Vec<DagEvent<B>> {
-    let mut events = Vec::new();
-    if dag.pruned_floor() > 0 {
-        events.push(DagEvent::Pruned { up_to_round: dag.pruned_floor() });
-    }
-    for r in 1..=dag.max_round().unwrap_or(0) {
-        for v in dag.vertices_in_round(r) {
-            events.push(DagEvent::VertexInserted(v.clone()));
-        }
-    }
-    let mut confirmed: Vec<WaveId> = confirmed_waves.into_iter().collect();
-    confirmed.sort_unstable();
-    for wave in confirmed {
-        events.push(DagEvent::WaveConfirmed { wave });
-    }
-    for (wave, leader) in commit_log {
-        events.push(DagEvent::WaveDecided { wave: *wave, leader: *leader });
-    }
-    let mut delivered: Vec<(VertexId, WaveId)> = delivered.into_iter().collect();
-    delivered.sort_unstable_by_key(|(id, _)| *id);
-    for (id, wave) in delivered {
-        events.push(DagEvent::BlockDelivered { id, wave });
-    }
-    // The residue only covers vertices the DAG no longer (or never) held —
-    // blocks of stored vertices ride along inside VertexInserted.
-    let mut residue: Vec<(VertexId, B)> =
-        delivered_blocks.into_iter().filter(|(id, _)| !dag.contains(*id)).collect();
-    residue.sort_unstable_by_key(|(id, _)| *id);
-    for (id, block) in residue {
-        events.push(DagEvent::DeliveredBlock { id, block });
-    }
-    events
 }
 
 #[cfg(test)]
@@ -505,7 +655,7 @@ mod tests {
         let state = log.replay(4, pid(0), Vec::new()).unwrap();
 
         let mut compacted = Log::new(MemStorage::new());
-        compacted.install_snapshot(&state.to_snapshot_events()).unwrap();
+        compacted.compact_from(&state).unwrap();
         // New activity lands in the log tail after the snapshot.
         compacted
             .append(&DagEvent::VertexInserted(Vertex::new(
@@ -534,7 +684,7 @@ mod tests {
         let mut overlapped = log.clone();
         // Install the snapshot but resurrect the old log bytes afterwards.
         let old_log = log.backend().log_bytes().to_vec();
-        overlapped.install_snapshot(&state.to_snapshot_events()).unwrap();
+        overlapped.compact_from(&state).unwrap();
         overlapped.backend_mut().append_log_raw(&old_log);
         let re = overlapped.replay(4, pid(0), Vec::new()).unwrap();
         assert_eq!(re.dag.len(), state.dag.len());
@@ -554,16 +704,21 @@ mod tests {
                 state.delivered.insert(VertexId::new(r, pid(i)));
             }
         }
-        let unpruned_len: usize = state.to_snapshot_events().iter().map(|e| e.encode().len()).sum();
+        let snapshot_bytes = |state: &RecoveredState<Vec<u8>>| {
+            let mut log = Log::new(MemStorage::new());
+            log.compact_from(state).unwrap();
+            log.stats().last_snapshot_bytes
+        };
+        let unpruned_len = snapshot_bytes(&state);
         state.prune_delivered(4);
         assert_eq!(state.pruned_round, 4);
         assert_eq!(state.dag.pruned_floor(), 4);
         assert_eq!(state.dag.len(), 4 + 16, "genesis + rounds 5..=8 retained");
-        let pruned_len: usize = state.to_snapshot_events().iter().map(|e| e.encode().len()).sum();
+        let pruned_len = snapshot_bytes(&state);
         assert!(pruned_len < unpruned_len, "{pruned_len} !< {unpruned_len}");
 
         let mut compacted = Log::new(MemStorage::new());
-        compacted.install_snapshot(&state.to_snapshot_events()).unwrap();
+        compacted.compact_from(&state).unwrap();
         // New activity above the prune horizon still lands in the log tail.
         compacted
             .append(&DagEvent::VertexInserted(Vertex::new(
@@ -603,10 +758,111 @@ mod tests {
         }
         // Re-compaction round-trips the partial prune.
         let mut compacted = Log::new(MemStorage::new());
-        compacted.install_snapshot(&state.to_snapshot_events()).unwrap();
+        compacted.compact_from(&state).unwrap();
         let re = compacted.replay(4, pid(0), Vec::new()).unwrap();
         assert_eq!(re.dag.len(), state.dag.len());
         assert_eq!(re.pruned_round, 4);
+    }
+
+    #[test]
+    fn compaction_seals_decided_waves_once_and_snapshots_only_the_window() {
+        let mut log = populated_log(8);
+        let mut state = log.replay(4, pid(1), Vec::new()).unwrap();
+        state.prune_delivered(4);
+        let residue = state.delivered_blocks.clone();
+        log.compact(&state.dag, |id| residue.get(&id).cloned()).unwrap();
+        let sealed: Vec<DagEvent<Vec<u8>>> = log
+            .events()
+            .unwrap()
+            .events
+            .into_iter()
+            .take(log.stats().sealed_records as usize)
+            .collect();
+        let leader = VertexId::new(1, pid(2));
+        assert_eq!(
+            sealed,
+            vec![
+                DagEvent::WaveSealed {
+                    wave: 1,
+                    prev_wave: 0,
+                    leader,
+                    deliveries: vec![(leader, Some(vec![1, 2]))],
+                },
+                DagEvent::WaveConfirmed { wave: 1 },
+            ],
+            "the pruned delivery carries its block"
+        );
+        let read = log.events().unwrap();
+        let window = &read.events[read.from_sealed..];
+        assert!(window
+            .iter()
+            .all(|e| matches!(e, DagEvent::Pruned { .. } | DagEvent::VertexInserted(_))));
+        let re = log.replay(4, pid(1), Vec::new()).unwrap();
+        assert_eq!(re.sealed_wave, 1);
+        assert_eq!(re.commit_log, state.commit_log);
+        assert_eq!(re.delivered_waves, state.delivered_waves);
+        assert_eq!(re.delivered_blocks, state.delivered_blocks);
+        assert_eq!(re.confirmed_waves, state.confirmed_waves);
+        assert_eq!(re.dag.len(), state.dag.len());
+
+        // Nothing new was decided: the next compaction seals nothing and
+        // rewrites the same window.
+        let (records, bytes) = (log.stats().sealed_records, log.stats().last_snapshot_bytes);
+        log.compact(&state.dag, |id| residue.get(&id).cloned()).unwrap();
+        assert_eq!(log.stats().sealed_records, records);
+        assert_eq!(log.stats().last_snapshot_bytes, bytes);
+
+        // A second wave chains onto the first.
+        let second = VertexId::new(5, pid(0));
+        log.append(&DagEvent::WaveDecided { wave: 2, leader: second }).unwrap();
+        log.append(&DagEvent::BlockDelivered { id: second, wave: 2 }).unwrap();
+        log.compact(&state.dag, |id| residue.get(&id).cloned()).unwrap();
+        let re = log.replay(4, pid(1), Vec::new()).unwrap();
+        assert_eq!(re.commit_log, vec![(1, leader), (2, second)]);
+        assert_eq!(re.sealed_wave, 2);
+        assert!(re.dag.contains(second), "a stored delivery is sealed without its block");
+        assert!(!re.delivered_blocks.contains_key(&second));
+    }
+
+    #[test]
+    fn a_recovered_log_resumes_sealing_where_it_stopped() {
+        let mut log = populated_log(4);
+        let state = log.replay(4, pid(0), Vec::new()).unwrap();
+        log.compact(&state.dag, |_| None).unwrap();
+        log.append(&DagEvent::WaveConfirmed { wave: 1 }).unwrap(); // a duplicate
+        log.append(&DagEvent::WaveConfirmed { wave: 2 }).unwrap();
+        let leader = VertexId::new(5, pid(0));
+        log.append(&DagEvent::WaveDecided { wave: 2, leader }).unwrap();
+        // A restarted owner adopts the replayed bookkeeping, then compacts.
+        let mut resumed = log.clone();
+        resumed.unsealed = Unsealed::default();
+        let recovered = resumed.recover(4, pid(0), Vec::new()).unwrap();
+        assert_eq!(recovered.sealed_wave, 1);
+        assert_eq!(resumed.unsealed.log, vec![(2, leader)]);
+        assert_eq!(resumed.unsealed.confirmed, BTreeSet::from([2]));
+        resumed.compact(&recovered.dag, |_| None).unwrap();
+        let re = resumed.replay(4, pid(0), Vec::new()).unwrap();
+        assert_eq!(re.commit_log, recovered.commit_log);
+        assert_eq!(re.confirmed_waves, BTreeSet::from([1, 2]));
+        assert_eq!(re.sealed_wave, 2);
+    }
+
+    #[test]
+    fn a_sealed_wave_off_the_commit_chain_is_corruption() {
+        let mut log = Log::new(MemStorage::new());
+        let sealed = DagEvent::<Vec<u8>>::WaveSealed {
+            wave: 3,
+            prev_wave: 2,
+            leader: VertexId::new(9, pid(0)),
+            deliveries: vec![],
+        };
+        log.wal.append_sealed(&[sealed], DagEvent::encode_into).unwrap();
+        match log.replay(4, pid(0), Vec::new()) {
+            Err(StorageError::Corrupt { detail, .. }) => {
+                assert!(detail.contains("chains"), "{detail}")
+            }
+            other => panic!("expected corruption, got {other:?}"),
+        }
     }
 
     #[test]

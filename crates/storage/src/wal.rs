@@ -20,11 +20,15 @@
 //!   skip: replaying *around* a corrupt record would silently fork the
 //!   recovered state from what the process had acknowledged.
 //!
-//! A [`Wal`] pairs the framing with a [`Storage`] backend and a snapshot
-//! area: [`Wal::install_snapshot`] rewrites the snapshot blob (itself a
+//! A [`Wal`] pairs the framing with a [`Storage`] backend and two more
+//! areas: [`Wal::install_snapshot`] rewrites the snapshot blob (itself a
 //! sequence of framed records) and truncates the log, bounding recovery
-//! work. The snapshot area tolerates no torn tail — it is written
-//! atomically, so any damage there is real corruption.
+//! work, and [`Wal::append_sealed`] appends framed records to the sealed
+//! area, which is never rewritten. The snapshot area tolerates no torn
+//! tail — it is written atomically, so any damage there is real
+//! corruption. The sealed area is append-only like the log, so a crash
+//! mid-append may tear its final record; [`Wal::repair_torn_tail`] drops
+//! it.
 
 use crate::backend::{Storage, StorageError};
 
@@ -46,10 +50,33 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 
 /// Frames one payload into `out`, returning the payload's checksum.
 pub fn frame_record(payload: &[u8], out: &mut Vec<u8>) -> u64 {
+    frame_with(out, |out| out.extend_from_slice(payload))
+}
+
+/// Frames the payload `encode` appends to `out` in place, returning its
+/// checksum — every record is encoded once, straight into its frame.
+fn frame_with(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> u64 {
+    let start = out.len();
+    out.resize(start + RECORD_HEADER_BYTES, 0);
+    encode(out);
+    fill_header(&mut out[start..])
+}
+
+/// Frames every record of `records` into one blob, returning it and the
+/// records' checksums.
+fn frame_all<T>(records: &[T], encode: impl Fn(&T, &mut Vec<u8>)) -> (Vec<u8>, Vec<u64>) {
+    let mut blob = Vec::new();
+    let sums = records.iter().map(|r| frame_with(&mut blob, |out| encode(r, out))).collect();
+    (blob, sums)
+}
+
+/// Writes the header of `frame` — a [`RECORD_HEADER_BYTES`] placeholder
+/// followed by the payload — and returns the payload's checksum.
+fn fill_header(frame: &mut [u8]) -> u64 {
+    let (header, payload) = frame.split_at_mut(RECORD_HEADER_BYTES);
     let sum = checksum(payload);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&sum.to_le_bytes());
-    out.extend_from_slice(payload);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&sum.to_le_bytes());
     sum
 }
 
@@ -134,16 +161,24 @@ pub struct WalStats {
     pub snapshots_written: u64,
     /// Size in bytes of the most recent snapshot blob.
     pub last_snapshot_bytes: u64,
+    /// Records appended to the sealed area since this handle was created.
+    pub sealed_records: u64,
+    /// Framed bytes appended to the sealed area since this handle was
+    /// created.
+    pub sealed_bytes: u64,
     /// Running FNV-1a-64 fold, in write order, of every appended record's
-    /// checksum and, per snapshot, a marker followed by each snapshot
-    /// record's checksum — unlike the counts above, it changes when the
-    /// same records are written in another order.
+    /// checksum and, per snapshot and per sealed batch, a marker followed by
+    /// each of its records' checksums — unlike the counts above, it changes
+    /// when the same records are written in another order or area.
     pub digest: u64,
 }
 
 /// Marker folded into [`WalStats::digest`] ahead of a snapshot's records,
 /// so a snapshot never digests like the same records appended to the log.
 const SNAPSHOT_MARKER: u64 = u64::MAX;
+
+/// Marker folded into [`WalStats::digest`] ahead of a sealed batch.
+const SEALED_MARKER: u64 = u64::MAX - 1;
 
 impl WalStats {
     fn fold(&mut self, word: u64) {
@@ -154,35 +189,39 @@ impl WalStats {
     }
 }
 
-/// Everything persisted: the snapshot records followed by the log tail.
+/// Everything persisted: the sealed records, the snapshot records and the
+/// log tail.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WalContents {
+    /// Records from the sealed area, in append order.
+    pub sealed: Vec<Vec<u8>>,
     /// Records restored from the snapshot area (empty if no snapshot).
     pub snapshot: Vec<Vec<u8>>,
     /// Records from the log tail, in append order.
     pub log: Vec<Vec<u8>>,
-    /// Torn bytes dropped from the end of the log.
+    /// Torn bytes dropped from the ends of the log and the sealed area.
     pub torn_tail_bytes: usize,
 }
 
 impl WalContents {
-    /// Snapshot records followed by log records — full replay order.
+    /// Sealed, then snapshot, then log records — full replay order.
     pub fn all_records(&self) -> impl Iterator<Item = &[u8]> {
-        self.snapshot.iter().chain(self.log.iter()).map(Vec::as_slice)
+        self.sealed.iter().chain(&self.snapshot).chain(&self.log).map(Vec::as_slice)
     }
 
     /// Total number of persisted records.
     pub fn len(&self) -> usize {
-        self.snapshot.len() + self.log.len()
+        self.sealed.len() + self.snapshot.len() + self.log.len()
     }
 
     /// `true` when nothing is persisted.
     pub fn is_empty(&self) -> bool {
-        self.snapshot.is_empty() && self.log.is_empty()
+        self.len() == 0
     }
 }
 
-/// A framed write-ahead log with a snapshot area over any [`Storage`].
+/// A framed write-ahead log with a snapshot area and a sealed area over any
+/// [`Storage`].
 ///
 /// # Examples
 ///
@@ -208,6 +247,8 @@ pub struct Wal<S> {
     /// (without pruning this sequence grows monotonically; with pruning it
     /// is a sawtooth).
     snapshot_sizes: Vec<u64>,
+    /// The frame buffer every append encodes into, reused across appends.
+    scratch: Vec<u8>,
 }
 
 /// Default snapshot cadence: one snapshot per this many appended records.
@@ -222,6 +263,7 @@ impl<S: Storage> Wal<S> {
             records_since_snapshot: 0,
             snapshot_every: DEFAULT_SNAPSHOT_EVERY,
             snapshot_sizes: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -264,12 +306,27 @@ impl<S: Storage> Wal<S> {
     ///
     /// [`StorageError::Io`] if the backend rejects the write.
     pub fn append(&mut self, payload: &[u8]) -> Result<(), StorageError> {
-        let mut framed = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
-        let sum = frame_record(payload, &mut framed);
-        self.backend.append_log(&framed)?;
+        self.append_with(|out| out.extend_from_slice(payload))
+    }
+
+    /// Appends one record whose payload `encode` writes into the frame
+    /// buffer — the record is encoded and framed in place, in one buffer
+    /// reused across appends.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::Io`] if the backend rejects the write.
+    pub fn append_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), StorageError> {
+        let mut framed = std::mem::take(&mut self.scratch);
+        framed.clear();
+        let sum = frame_with(&mut framed, encode);
+        let written = self.backend.append_log(&framed);
+        let len = framed.len() as u64;
+        self.scratch = framed;
+        written?;
         self.stats.fold(sum);
         self.stats.records_appended += 1;
-        self.stats.bytes_appended += framed.len() as u64;
+        self.stats.bytes_appended += len;
         // Saturating: with the cadence disabled (`0` = never snapshot) this
         // counter is never reset, and a pathological `usize::MAX` wrap
         // would otherwise turn "overdue for a snapshot" into "just took
@@ -294,8 +351,21 @@ impl<S: Storage> Wal<S> {
     /// between the two writes leaves the old log alongside the new
     /// snapshot; replay is idempotent, so recovery still converges.
     pub fn install_snapshot<R: AsRef<[u8]>>(&mut self, records: &[R]) -> Result<(), StorageError> {
-        let mut blob = Vec::new();
-        let sums: Vec<u64> = records.iter().map(|r| frame_record(r.as_ref(), &mut blob)).collect();
+        self.install_snapshot_with(records, |r, out| out.extend_from_slice(r.as_ref()))
+    }
+
+    /// [`Wal::install_snapshot`] with each record's payload written by
+    /// `encode` straight into the snapshot blob.
+    ///
+    /// # Errors
+    ///
+    /// As [`Wal::install_snapshot`].
+    pub fn install_snapshot_with<T>(
+        &mut self,
+        records: &[T],
+        encode: impl Fn(&T, &mut Vec<u8>),
+    ) -> Result<(), StorageError> {
+        let (blob, sums) = frame_all(records, encode);
         self.backend.write_snapshot(&blob)?;
         self.backend.replace_log(&[])?;
         self.stats.fold(SNAPSHOT_MARKER);
@@ -307,13 +377,40 @@ impl<S: Storage> Wal<S> {
         Ok(())
     }
 
+    /// Appends `records`, each payload written by `encode` straight into
+    /// the batch, to the sealed area as one durable write. The
+    /// caller writes them *before* the snapshot that omits them, so a crash
+    /// in between leaves them duplicated, never lost. Sealed appends do not
+    /// count towards the snapshot cadence.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::Io`] if the backend rejects the write.
+    pub fn append_sealed<T>(
+        &mut self,
+        records: &[T],
+        encode: impl Fn(&T, &mut Vec<u8>),
+    ) -> Result<(), StorageError> {
+        if records.is_empty() {
+            return Ok(());
+        }
+        let (blob, sums) = frame_all(records, encode);
+        self.backend.append_sealed(&blob)?;
+        self.stats.fold(SEALED_MARKER);
+        sums.into_iter().for_each(|sum| self.stats.fold(sum));
+        self.stats.sealed_records += records.len() as u64;
+        self.stats.sealed_bytes += blob.len() as u64;
+        Ok(())
+    }
+
     /// Size of every snapshot installed through this handle, in order.
     pub fn snapshot_sizes(&self) -> &[u64] {
         &self.snapshot_sizes
     }
 
-    /// Truncates a torn final record off the log area, returning how many
-    /// bytes were dropped — the repair a recovering process **must** apply
+    /// Truncates a torn final record off the log area and off the sealed
+    /// area, returning how many bytes were dropped — the repair a
+    /// recovering process **must** apply
     /// before it resumes appending. Reading tolerates a torn tail, but a
     /// fresh record appended *after* torn bytes fuses with them into one
     /// complete-looking frame whose checksum cannot match, turning a
@@ -331,27 +428,35 @@ impl<S: Storage> Wal<S> {
         if torn > 0 {
             self.backend.replace_log(&bytes[..bytes.len() - torn])?;
         }
-        Ok(torn)
+        let sealed = self.backend.read_sealed()?;
+        let sealed_torn = decode_area(&sealed, true)?.torn_tail_bytes;
+        if sealed_torn > 0 {
+            self.backend.truncate_sealed(sealed.len() - sealed_torn)?;
+        }
+        Ok(torn + sealed_torn)
     }
 
-    /// Reads and verifies everything persisted: the snapshot records, the
-    /// log tail, and how many torn tail bytes were dropped.
+    /// Reads and verifies everything persisted: the sealed records, the
+    /// snapshot records, the log tail, and how many torn tail bytes were
+    /// dropped.
     ///
     /// # Errors
     ///
     /// [`StorageError::Corrupt`] if a complete record fails its checksum
-    /// (either area) or the snapshot area is torn; [`StorageError::Io`] if
+    /// (any area) or the snapshot area is torn; [`StorageError::Io`] if
     /// the backend cannot be read.
     pub fn read(&self) -> Result<WalContents, StorageError> {
+        let sealed_area = decode_area(&self.backend.read_sealed()?, true)?;
         let snapshot = match self.backend.read_snapshot()? {
             Some(bytes) => decode_area(&bytes, false)?.records,
             None => Vec::new(),
         };
         let log_area = decode_area(&self.backend.read_log()?, true)?;
         Ok(WalContents {
+            sealed: sealed_area.records,
             snapshot,
             log: log_area.records,
-            torn_tail_bytes: log_area.torn_tail_bytes,
+            torn_tail_bytes: sealed_area.torn_tail_bytes + log_area.torn_tail_bytes,
         })
     }
 }
@@ -360,6 +465,11 @@ impl<S: Storage> Wal<S> {
 mod tests {
     use super::*;
     use crate::backend::MemStorage;
+
+    /// Writes a raw payload as itself.
+    fn raw<R: AsRef<[u8]>>(record: &R, out: &mut Vec<u8>) {
+        out.extend_from_slice(record.as_ref());
+    }
 
     #[test]
     fn empty_wal_reads_empty() {
@@ -397,6 +507,54 @@ mod tests {
         assert_eq!(ab, digest(&[b"a", b"b"], None));
         assert_ne!(ab, digest(&[b"b", b"a"], None), "same records, other order");
         assert_ne!(ab, digest(&[b"a"], Some(&[b"b"])), "a snapshot record is not an append");
+        let mut sealed = Wal::new(MemStorage::new());
+        sealed.append(b"a").unwrap();
+        sealed.append_sealed(&[b"b"], raw).unwrap();
+        assert_ne!(ab, sealed.stats().digest, "a sealed record is not an append");
+        let mut snapped = Wal::new(MemStorage::new());
+        snapped.append(b"a").unwrap();
+        snapped.install_snapshot(&[b"b"]).unwrap();
+        assert_ne!(snapped.stats().digest, sealed.stats().digest, "nor a snapshot record");
+        sealed.append_sealed::<&[u8]>(&[], raw).unwrap();
+        assert_eq!(sealed.stats().sealed_records, 1, "an empty batch writes nothing");
+    }
+
+    #[test]
+    fn append_with_frames_exactly_like_append() {
+        let mut a = Wal::new(MemStorage::new());
+        let mut b = Wal::new(MemStorage::new());
+        for payload in [&b"first"[..], &b""[..], &[7u8; 300][..], &b"last"[..]] {
+            a.append(payload).unwrap();
+            b.append_with(|out| out.extend_from_slice(payload)).unwrap();
+        }
+        let mut framed = Vec::new();
+        frame_record(b"first", &mut framed);
+        assert_eq!(&a.backend().log_bytes()[..framed.len()], &framed[..]);
+        assert_eq!(a.backend().log_bytes(), b.backend().log_bytes());
+        assert_eq!(a.stats(), b.stats());
+    }
+
+    #[test]
+    fn sealed_area_replays_first_survives_snapshots_and_repairs_a_torn_tail() {
+        let mut wal = Wal::new(MemStorage::new());
+        wal.append(b"log-1").unwrap();
+        wal.append_sealed(&[b"sealed-1", b"sealed-2"], raw).unwrap();
+        wal.install_snapshot(&[b"snap"]).unwrap();
+        wal.append(b"log-2").unwrap();
+        let c = wal.read().unwrap();
+        let order: Vec<&[u8]> = c.all_records().collect();
+        assert_eq!(order, vec![&b"sealed-1"[..], b"sealed-2", b"snap", b"log-2"]);
+        assert_eq!(wal.stats().sealed_records, 2);
+        assert_eq!(wal.stats().records_appended, 2, "sealed records are not log appends");
+        // A torn final sealed record is dropped on read and repaired away.
+        let full = wal.backend().sealed_bytes().len();
+        wal.backend_mut().truncate_sealed(full - 3).unwrap();
+        let c = wal.read().unwrap();
+        assert_eq!(c.sealed, vec![b"sealed-1".to_vec()]);
+        assert_eq!(c.torn_tail_bytes, RECORD_HEADER_BYTES + 8 - 3);
+        assert_eq!(wal.repair_torn_tail().unwrap(), RECORD_HEADER_BYTES + 8 - 3);
+        wal.append_sealed(&[b"sealed-3"], raw).unwrap();
+        assert_eq!(wal.read().unwrap().sealed, vec![b"sealed-1".to_vec(), b"sealed-3".to_vec()]);
     }
 
     #[test]

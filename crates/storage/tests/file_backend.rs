@@ -147,6 +147,71 @@ fn file_event_log_replays_identically_after_reopen_and_tear() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+#[test]
+fn file_sealed_area_round_trips_and_survives_reopen_and_tear() {
+    // Decided waves sealed into `sealed.log` replay from a fresh handle,
+    // ahead of the snapshot that omits them; a torn final sealed record is
+    // dropped on read and truncated by the repair.
+    let dir = temp_dir("sealed");
+    let mut log: EventLog<Vec<u8>, FileStorage> =
+        EventLog::new(FileStorage::open(&dir).unwrap()).with_snapshot_every(0);
+    for r in 1..=8u64 {
+        for i in 0..3 {
+            log.append(&DagEvent::VertexInserted(Vertex::new(
+                pid(i),
+                r,
+                vec![r as u8, i as u8],
+                ProcessSet::full(3),
+                vec![],
+            )))
+            .unwrap();
+        }
+        if r.is_multiple_of(4) {
+            let wave = r / 4;
+            let leader = VertexId::new(r - 3, pid(wave as usize));
+            log.append(&DagEvent::WaveConfirmed { wave }).unwrap();
+            log.append(&DagEvent::WaveDecided { wave, leader }).unwrap();
+            log.append(&DagEvent::BlockDelivered { id: leader, wave }).unwrap();
+            let mut state = log.replay(3, pid(0), Vec::new()).unwrap();
+            state.prune_delivered(r - 3);
+            let residue = state.delivered_blocks.clone();
+            log.compact(&state.dag, |id| residue.get(&id).cloned()).unwrap();
+        }
+    }
+    let live = log.replay(3, pid(0), Vec::new()).unwrap();
+    assert_eq!(live.sealed_wave, 2);
+    assert_eq!(log.stats().sealed_records, 4, "two sealed waves and their confirms");
+    let sealed_path = dir.join("sealed.log");
+    let sealed_len = std::fs::metadata(&sealed_path).unwrap().len();
+    assert_eq!(sealed_len, log.stats().sealed_bytes);
+
+    // A restarted process: a fresh handle over the same directory.
+    let reopened: EventLog<Vec<u8>, FileStorage> = EventLog::new(FileStorage::open(&dir).unwrap());
+    let state = reopened.replay(3, pid(0), Vec::new()).unwrap();
+    assert_eq!(state.commit_log, live.commit_log);
+    assert_eq!(state.delivered_waves, live.delivered_waves);
+    assert_eq!(state.delivered_blocks, live.delivered_blocks);
+    assert_eq!(state.confirmed_waves, live.confirmed_waves);
+    assert_eq!(state.dag.len(), live.dag.len());
+    assert_eq!(state.sealed_wave, 2);
+
+    // Tear the final sealed record (the wave-2 confirm) on disk.
+    truncate_file(&sealed_path, sealed_len - 2);
+    let mut torn: EventLog<Vec<u8>, FileStorage> = EventLog::new(FileStorage::open(&dir).unwrap());
+    let state = torn.replay(3, pid(0), Vec::new()).unwrap();
+    assert_eq!(state.commit_log, live.commit_log, "the sealed waves before the tear survive");
+    assert!(state.torn_tail_bytes > 0);
+    let dropped = torn.repair_torn_tail().unwrap();
+    assert_eq!(dropped, state.torn_tail_bytes);
+    assert_eq!(
+        std::fs::metadata(&sealed_path).unwrap().len(),
+        sealed_len - 2 - dropped as u64,
+        "the repair truncates sealed.log to its last whole record"
+    );
+    assert_eq!(torn.replay(3, pid(0), Vec::new()).unwrap().torn_tail_bytes, 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Test-only helper: current on-disk log length.
 trait LogLen {
     fn read_log_len(&self) -> usize;
