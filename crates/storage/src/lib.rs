@@ -21,10 +21,9 @@
 //!   sealed once into the sealed area ([`DagEvent::WaveSealed`]) and the
 //!   snapshot holds only what is above them;
 //! * [`RecoveredState`] — replay: fold sealed area + snapshot + log back
-//!   into a
-//!   [`DagStore`](asym_dag::DagStore), the delivered set, the commit log
-//!   and the confirmed-wave set, so a restarted process rejoins without
-//!   ever delivering a block twice;
+//!   into a [`DagStore`](asym_dag::DagStore), the delivered set, the
+//!   commit log and the confirmed-wave set, so a restarted process rejoins
+//!   without ever delivering a block twice;
 //! * **WAL pruning** — [`RecoveredState::prune_delivered`] /
 //!   [`prune_dag`] garbage-collect the delivered-prefix *vertices* (the
 //!   [`DagEvent::Pruned`] marker makes pruned snapshots self-describing),
