@@ -21,13 +21,17 @@
 //! `(origin, tag)`; one process broadcasts at most one value per tag (in the
 //! DAG protocols the tag is the round number). The instances of one tag
 //! share a row of `n` slots indexed by origin, allocated when the tag's
-//! first message arrives, so a message finds its instance by one short
-//! ordered-map descent over the tags and an index — no hashing. An ECHO or
-//! READY whose `origin` is `≥ n` names no process: it opens nothing and
-//! produces nothing. (A SEND's origin is its authenticated sender, which
-//! the network only ever reports as one of the `n` processes.)
+//! first message arrives. Rows are kept sorted by tag, and the tags a DAG
+//! run opens are contiguous rounds, so a message finds its row by one probe
+//! at `tag − first tag` and its instance by an index — no hashing, no tree
+//! descent; a tag off the contiguous run costs a binary search. Each opened
+//! tag costs one row, so a Byzantine far-future tag opens one row, never
+//! the range below it. An ECHO or READY whose `origin` is `≥ n` names no
+//! process: it opens nothing and produces nothing. (A SEND's origin is its
+//! authenticated sender, which the network only ever reports as one of the
+//! `n` processes.)
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 use asym_quorum::{AsymQuorumSystem, ProcessId, ProcessSet};
 
@@ -173,8 +177,9 @@ impl<T> Instance<T> {
 pub struct BroadcastHub<T> {
     me: ProcessId,
     quorums: AsymQuorumSystem,
-    /// One row per tag; slot `i` is the instance of origin `p_i`.
-    rows: BTreeMap<Tag, Box<[Instance<T>]>>,
+    /// One row per opened tag, sorted by tag; slot `i` of a row is the
+    /// instance of origin `p_i`.
+    rows: Vec<(Tag, Box<[Instance<T>]>)>,
     originated: HashSet<Tag>,
 }
 
@@ -182,7 +187,20 @@ impl<T: Clone + Eq + core::fmt::Debug> BroadcastHub<T> {
     /// Creates a hub for process `me` under the given asymmetric quorum
     /// system.
     pub fn new(me: ProcessId, quorums: AsymQuorumSystem) -> Self {
-        BroadcastHub { me, quorums, rows: BTreeMap::new(), originated: HashSet::new() }
+        BroadcastHub { me, quorums, rows: Vec::new(), originated: HashSet::new() }
+    }
+
+    /// Where `tag`'s row is (`Ok`) or would be inserted (`Err`). A tag in
+    /// the contiguous run from the first row's tag is found at its offset;
+    /// any other by binary search.
+    fn position(&self, tag: Tag) -> Result<usize, usize> {
+        if let Some(&(first, _)) = self.rows.first() {
+            let offset = tag.checked_sub(first).and_then(|k| usize::try_from(k).ok());
+            if let Some(k) = offset.filter(|&k| self.rows.get(k).is_some_and(|(t, _)| *t == tag)) {
+                return Ok(k);
+            }
+        }
+        self.rows.binary_search_by_key(&tag, |(t, _)| *t)
     }
 
     /// This process's identity.
@@ -229,9 +247,11 @@ impl<T: Clone + Eq + core::fmt::Debug> BroadcastHub<T> {
         if origin.index() >= n {
             return (None, None);
         }
-        let row =
-            self.rows.entry(tag).or_insert_with(|| (0..n).map(|_| Instance::default()).collect());
-        let inst = &mut row[origin.index()];
+        let k = self.position(tag).unwrap_or_else(|k| {
+            self.rows.insert(k, (tag, (0..n).map(|_| Instance::default()).collect()));
+            k
+        });
+        let inst = &mut self.rows[k].1[origin.index()];
         match msg {
             BcastMsg::Send { value, .. } => {
                 // Echo the first value seen from this origin under this tag.
@@ -267,13 +287,14 @@ impl<T: Clone + Eq + core::fmt::Debug> BroadcastHub<T> {
 
     /// Returns `true` if this hub already delivered for `(origin, tag)`.
     pub fn has_delivered(&self, origin: ProcessId, tag: Tag) -> bool {
-        self.rows.get(&tag).and_then(|row| row.get(origin.index())).is_some_and(|i| i.delivered)
+        let row = self.position(tag).ok().map(|k| &self.rows[k].1);
+        row.and_then(|row| row.get(origin.index())).is_some_and(|i| i.delivered)
     }
 
     /// Number of `(origin, tag)` instances that received any message
     /// (observability).
     pub fn instance_count(&self) -> usize {
-        self.rows.values().flat_map(|row| row.iter()).filter(|i| i.touched()).count()
+        self.rows.iter().flat_map(|(_, row)| row.iter()).filter(|i| i.touched()).count()
     }
 }
 
@@ -495,6 +516,31 @@ mod tests {
         assert_eq!(h.instance_count(), 3);
         h.on_message(pid(2), BcastMsg::Send { tag: 4, value: 5 });
         assert_eq!(h.instance_count(), 4);
+    }
+
+    #[test]
+    fn rows_stay_sorted_and_one_per_tag_in_any_arrival_order() {
+        let mut h = hub(0);
+        // Contiguous tags, a far-future one, tags below the first, and a
+        // gap filled late: each opens exactly one row, kept in tag order.
+        for tag in [5, 6, u64::MAX, 7, 2, 9, 8, 3, 4, 6] {
+            h.on_message(pid(1), BcastMsg::Send { tag, value: 1 });
+        }
+        let tags: Vec<Tag> = h.rows.iter().map(|(t, _)| *t).collect();
+        assert_eq!(tags, [2, 3, 4, 5, 6, 7, 8, 9, u64::MAX]);
+        for (k, &tag) in tags.iter().enumerate() {
+            assert_eq!(h.position(tag), Ok(k));
+        }
+        assert_eq!((h.position(1), h.position(10)), (Err(0), Err(8)));
+        assert_eq!(h.instance_count(), 9);
+        // Every row still routes to its own instances.
+        for tag in [9, 2, u64::MAX] {
+            for from in 0..3 {
+                h.on_message(pid(from), BcastMsg::Ready { origin: pid(1), tag, value: 1 });
+            }
+            assert!(h.has_delivered(pid(1), tag));
+        }
+        assert!(!h.has_delivered(pid(1), 5) && !h.has_delivered(pid(1), 10));
     }
 
     #[test]

@@ -27,7 +27,8 @@ use std::iter;
 use asym_broadcast::BcastMsg;
 use asym_crypto::CommonCoin;
 use asym_dag::{
-    position_in_wave, round_of_wave, wave_of_round, DagStore, Round, Vertex, VertexId, WaveId,
+    position_in_wave, round_of_wave, wave_of_round, DagStore, Round, Vertex, VertexId, VertexMap,
+    WaveId,
 };
 use asym_quorum::{AsymQuorumSystem, ProcessId, ProcessSet};
 use asym_sim::{Context, Protocol};
@@ -144,7 +145,7 @@ pub struct AsymDagRider {
     /// Block payloads of delivered vertices absent from the DAG (pruned
     /// after delivery, or installed via state transfer) — what this process
     /// serves to deep laggards in place of the garbage-collected vertices.
-    delivered_blocks: HashMap<VertexId, Block>,
+    delivered_blocks: VertexMap<Block>,
 }
 
 impl AsymDagRider {
@@ -162,7 +163,7 @@ impl AsymDagRider {
             coin: CommonCoin::new(coin_seed, n),
             control: HashMap::new(),
             catchup: CatchUp::default(),
-            delivered_blocks: HashMap::new(),
+            delivered_blocks: VertexMap::new(),
         }
     }
 
@@ -324,7 +325,7 @@ impl AsymDagRider {
             }
         }
         let residue = &self.delivered_blocks;
-        self.core.compact_log(|id| residue.get(&id).cloned());
+        self.core.compact_log(|id| residue.get(id).cloned());
     }
 
     /// Discards all in-memory state and rebuilds this process from its

@@ -45,9 +45,10 @@
 //! order are common to every honest process that decided the wave.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Bound;
 
 use asym_crypto::CommonCoin;
-use asym_dag::{round_of_wave, DagStore, Round, Vertex, VertexId, WaveId};
+use asym_dag::{round_of_wave, DagStore, Round, Vertex, VertexId, VertexMap, WaveId};
 use asym_quorum::{AsymQuorumSystem, ProcessId};
 
 use crate::asym_rider::AsymRiderMsg;
@@ -107,7 +108,7 @@ pub(crate) struct Restart {
     pub(crate) core: DagCore,
     pub(crate) committer: WaveCommitter,
     pub(crate) confirmed: BTreeSet<WaveId>,
-    pub(crate) residue: HashMap<VertexId, Block>,
+    pub(crate) residue: VertexMap<Block>,
 }
 
 /// Rebuilds a crashed process from its write-ahead log.
@@ -156,9 +157,8 @@ pub(crate) fn answer_fetch(
     confirmed: impl Iterator<Item = WaveId>,
     decided_wave: WaveId,
 ) -> Vec<AsymRiderMsg> {
-    let vertices = ((above_round + 1)..=dag.max_round().unwrap_or(0))
-        .flat_map(|r| dag.vertices_in_round(r).cloned())
-        .collect();
+    let vertices =
+        dag.vertices_in_rounds((Bound::Excluded(above_round), Bound::Unbounded)).cloned().collect();
     let mut confirmed: Vec<WaveId> = confirmed.collect();
     confirmed.sort_unstable();
     let mut answers = vec![AsymRiderMsg::FetchReply { vertices, confirmed }];
@@ -179,12 +179,13 @@ pub(crate) fn answer_fetch(
 pub(crate) fn state_chunk(
     committer: &WaveCommitter,
     dag: &DagStore<Block>,
-    residue: &HashMap<VertexId, Block>,
+    residue: &VertexMap<Block>,
     above_wave: WaveId,
 ) -> Option<AsymRiderMsg> {
     // One pass over the delivered map groups ids by ordering wave —
     // StateRequests are repeatable and unauthenticated, so the donor must
-    // not rescan the whole delivered set once per log entry.
+    // not rescan the whole delivered set once per log entry. The pass runs
+    // in `(round, source)` order, so each wave's ids come out sorted.
     let mut by_wave: BTreeMap<WaveId, Vec<VertexId>> = BTreeMap::new();
     for (id, wave) in committer.delivered_waves() {
         if wave > above_wave {
@@ -197,12 +198,11 @@ pub(crate) fn state_chunk(
     let mut prev = 0;
     for &(wave, leader) in committer.log() {
         if wave > above_wave {
-            let mut ids = by_wave.remove(&wave).unwrap_or_default();
-            ids.sort_unstable();
+            let ids = by_wave.remove(&wave).unwrap_or_default();
             let deliveries: Option<Vec<(VertexId, Block)>> = ids
                 .into_iter()
                 .map(|id| {
-                    let block = dag.get(id).map(|v| v.block()).or_else(|| residue.get(&id))?;
+                    let block = dag.get(id).map(|v| v.block()).or_else(|| residue.get(id))?;
                     Some((id, block.clone()))
                 })
                 .collect();

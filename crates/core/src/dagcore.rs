@@ -9,7 +9,7 @@ use std::iter;
 
 use asym_broadcast::{BcastMsg, BroadcastHub};
 use asym_crypto::CommonCoin;
-use asym_dag::{DagStore, Round, Vertex, VertexId, WaveId};
+use asym_dag::{DagStore, Round, Vertex, VertexId, VertexSet, WaveId};
 use asym_quorum::{AsymQuorumSystem, ProcessId, ProcessSet};
 use asym_sim::Context;
 use asym_storage::{DagEvent, EventLog, RecoveredState, StorageBackend};
@@ -41,7 +41,7 @@ pub struct DagCore {
     /// Vertices inserted since this process last created a vertex — the
     /// only possible weak-edge targets of its next one (see
     /// `compute_weak_edges`).
-    uncovered: HashSet<VertexId>,
+    uncovered: VertexSet,
     /// Round of the last vertex this process created, `0` if it has not
     /// created one or the stored copy of it is another.
     covered: Round,
@@ -62,7 +62,7 @@ impl DagCore {
             config,
             metrics: RiderMetrics::default(),
             log: None,
-            uncovered: HashSet::new(),
+            uncovered: VertexSet::new(),
             covered: 0,
         }
     }
@@ -369,6 +369,9 @@ impl DagCore {
     /// were delivered and garbage-collected, and asking peers for them
     /// would refetch a prefix we promised to forget.
     pub fn missing_parents(&self) -> BTreeSet<VertexId> {
+        // Hashed, not a `VertexSet`: buffered rounds are not yet gated by
+        // the round counter, and a Byzantine far-future one would open
+        // every row below it.
         let buffered: HashSet<VertexId> = self.buffer.iter().map(Vertex::id).collect();
         let mut missing = BTreeSet::new();
         for v in &self.buffer {
@@ -432,30 +435,25 @@ impl DagCore {
             return Vec::new();
         }
         if self.covered + 1 != round || !self.dag.contains(VertexId::new(round - 1, self.me)) {
-            self.uncovered =
-                (1..round).flat_map(|r| self.dag.vertices_in_round(r)).map(Vertex::id).collect();
+            self.uncovered = self.dag.vertices_in_rounds(1..round).map(Vertex::id).collect();
         }
         // Everything reachable from the strong parents; each candidate still
         // outside that reach becomes a weak edge and extends it. Candidates
         // go by round descending, then source ascending.
-        let mut reach = HashSet::new();
+        let mut reach = VertexSet::new();
         for s in strong {
             let id = VertexId::new(round - 1, s);
-            if self.uncovered.contains(&id) {
+            if self.uncovered.contains(id) {
                 self.reach_uncovered(&mut reach, id);
             }
         }
-        let mut candidates: Vec<VertexId> = self
-            .uncovered
-            .iter()
-            .filter(|id| id.round < round - 1 && self.dag.contains(**id))
-            .copied()
-            .collect();
-        candidates.sort_unstable_by_key(|id| (std::cmp::Reverse(id.round), id.source));
         let mut weak = Vec::new();
-        for c in candidates {
-            if self.reach_uncovered(&mut reach, c) {
-                weak.push(c);
+        for (r, sources) in self.uncovered.rounds(..round - 1).rev() {
+            for s in sources {
+                let c = VertexId::new(r, s);
+                if self.dag.contains(c) && self.reach_uncovered(&mut reach, c) {
+                    weak.push(c);
+                }
             }
         }
         weak
@@ -464,7 +462,7 @@ impl DagCore {
     /// Adds `from` and every uncovered vertex reachable from it through
     /// stored uncovered vertices to `reach`; returns `false`, without
     /// walking, if `from` was already there.
-    fn reach_uncovered(&self, reach: &mut HashSet<VertexId>, from: VertexId) -> bool {
+    fn reach_uncovered(&self, reach: &mut VertexSet, from: VertexId) -> bool {
         if !reach.insert(from) {
             return false;
         }
@@ -472,7 +470,7 @@ impl DagCore {
         while let Some(cur) = stack.pop() {
             let Some(v) = self.dag.get(cur) else { continue };
             for p in v.parents() {
-                if self.uncovered.contains(&p) && reach.insert(p) {
+                if self.uncovered.contains(p) && reach.insert(p) {
                     stack.push(p);
                 }
             }

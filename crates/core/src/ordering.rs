@@ -14,10 +14,8 @@
 //! leader's whole undelivered history, at a cost proportional to that
 //! history rather than to the height of the DAG.
 
-use std::collections::{HashMap, HashSet};
-
 use asym_crypto::CommonCoin;
-use asym_dag::{round_of_wave, DagStore, VertexId, WaveId};
+use asym_dag::{round_of_wave, DagStore, VertexId, VertexMap, VertexSet, WaveId};
 use asym_quorum::ProcessSet;
 
 use crate::types::{Block, OrderedVertex};
@@ -45,7 +43,7 @@ pub struct WaveCommitter {
     /// Every delivered vertex, tagged with the wave whose commit ordered it
     /// — the per-wave grouping delivered-state transfer ships to deep
     /// laggards.
-    delivered: HashMap<VertexId, WaveId>,
+    delivered: VertexMap<WaveId>,
     /// `(wave, leader)` pairs in commit order — the experiment harness reads
     /// wave gaps from this log.
     log: Vec<(WaveId, VertexId)>,
@@ -98,31 +96,29 @@ impl WaveCommitter {
 
     /// `true` if the identified vertex has been atomically delivered.
     pub fn is_delivered(&self, vid: VertexId) -> bool {
-        self.delivered.contains_key(&vid)
+        self.delivered.contains(vid)
     }
 
-    /// The delivered vertices, in no particular order (invariant checkers
-    /// cross-reference this against the output stream and the DAG).
+    /// The delivered vertices, in `(round, source)` order (invariant
+    /// checkers cross-reference this against the output stream and the
+    /// DAG).
     pub fn delivered(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.delivered.keys().copied()
+        self.delivered.keys()
     }
 
     /// The delivered vertices with the wave whose commit ordered each, in
-    /// no particular order — the durable form the WAL snapshot persists.
+    /// `(round, source)` order — the durable form the WAL persists.
     pub fn delivered_waves(&self) -> impl Iterator<Item = (VertexId, WaveId)> + '_ {
-        self.delivered.iter().map(|(id, w)| (*id, *w))
+        self.delivered.iter().map(|(id, w)| (id, *w))
     }
 
     /// The vertices ordered by wave `w`'s commit, in the deterministic
     /// `(round, source)` delivery order — one transferable wave segment.
-    /// Delivery within a commit sorts each leader's undelivered history by
+    /// Delivery within a commit orders each leader's undelivered history by
     /// `(round, source)`, so this reconstruction *is* the original delivery
     /// order, bit for bit, at every honest process.
     pub fn delivered_in_wave(&self, w: WaveId) -> Vec<VertexId> {
-        let mut ids: Vec<VertexId> =
-            self.delivered.iter().filter(|(_, dw)| **dw == w).map(|(id, _)| *id).collect();
-        ids.sort_unstable();
-        ids
+        self.delivered.iter().filter(|(_, dw)| **dw == w).map(|(id, _)| id).collect()
     }
 
     /// Installs one transferred wave segment: appends `(wave, leader)` to
@@ -169,7 +165,7 @@ impl WaveCommitter {
         self.log.push((wave, leader));
         let mut fresh = Vec::new();
         for (id, block) in deliveries {
-            if id.round == 0 || self.delivered.contains_key(id) {
+            if id.round == 0 || self.delivered.contains(*id) {
                 continue;
             }
             self.delivered.insert(*id, wave);
@@ -228,7 +224,8 @@ impl WaveCommitter {
         let mut ordered = 0;
         while let Some((wave, leader)) = stack.pop() {
             self.log.push((wave, leader));
-            for vid in self.undelivered_history(dag, leader) {
+            let history = self.undelivered_history(dag, leader);
+            for vid in history.iter() {
                 self.delivered.insert(vid, wave);
                 let vertex = dag.get(vid).expect("undelivered vertices are stored");
                 out.push(OrderedVertex {
@@ -248,9 +245,9 @@ impl WaveCommitter {
     /// the delivered set is ancestor-closed (see the module docs), nothing
     /// undelivered lies behind a delivered vertex. A delivered leader has
     /// no undelivered history.
-    fn undelivered_history(&self, dag: &DagStore<Block>, leader: VertexId) -> Vec<VertexId> {
-        let fresh = |id: &VertexId| id.round != 0 && !self.delivered.contains_key(id);
-        let mut seen: HashSet<VertexId> = HashSet::new();
+    fn undelivered_history(&self, dag: &DagStore<Block>, leader: VertexId) -> VertexSet {
+        let fresh = |id: &VertexId| id.round != 0 && !self.delivered.contains(*id);
+        let mut seen = VertexSet::new();
         let mut stack: Vec<VertexId> = Vec::new();
         if fresh(&leader) {
             seen.insert(leader);
@@ -271,9 +268,7 @@ impl WaveCommitter {
                 }
             }
         }
-        let mut out: Vec<VertexId> = seen.into_iter().collect();
-        out.sort_unstable();
-        out
+        seen
     }
 
     /// The leader *vertex* of wave `w` in this DAG, if present

@@ -1,5 +1,6 @@
 //! The certified-DAG substrate of the DAG-Rider family: vertices with
-//! strong/weak edges, a round-indexed store with reachability queries, and
+//! strong/weak edges, a round-indexed store with reachability queries, the
+//! dense `(round, source)` maps and sets vertex-keyed state lives in, and
 //! wave arithmetic.
 //!
 //! Both consensus protocols in this repository — symmetric DAG-Rider and the
@@ -30,10 +31,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod index;
 mod store;
 mod vertex;
 mod wave;
 
+pub use index::{VertexMap, VertexSet};
 pub use store::{DagError, DagStore};
 pub use vertex::{Round, Vertex, VertexId};
 pub use wave::{

@@ -5,11 +5,12 @@
 //! line 96). Under that invariant, reachability queries never encounter
 //! dangling references.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::ops::RangeBounds;
 
 use asym_quorum::{ProcessId, ProcessSet};
 
+use crate::index::{VertexMap, VertexSet};
 use crate::vertex::{Round, Vertex, VertexId};
 
 /// Errors returned by [`DagStore::insert`].
@@ -43,6 +44,13 @@ impl std::error::Error for DagError {}
 /// A local certified DAG: rounds of vertices, one per source, with
 /// strong/weak-edge reachability queries.
 ///
+/// The layout is the paper's `DAG[r]`: one row per round, one slot per
+/// source (a [`VertexMap`]), spanning the rounds from the lowest to the
+/// highest stored one. Every lookup is O(1). Rows are dense, so a store is
+/// indexed only by rounds its owner's round counter gates: the rider
+/// inserts a vertex only once its own round has reached the vertex's, and
+/// never a round it read off an unchecked message.
+///
 /// # Examples
 ///
 /// ```
@@ -63,17 +71,14 @@ impl std::error::Error for DagError {}
 /// ```
 #[derive(Clone, Debug)]
 pub struct DagStore<B> {
-    rounds: BTreeMap<Round, BTreeMap<ProcessId, Vertex<B>>>,
-    len: usize,
-    /// Identities garbage-collected after delivery. A missing parent is
-    /// tolerated on insert **iff its exact id is recorded here** — a
-    /// round-based floor would also excuse a slow old vertex this process
-    /// simply never received, silently breaking delivery completeness.
-    pruned: HashSet<VertexId>,
-    /// The same identities indexed per round — round advancement queries
-    /// pruned membership on every message, so the per-round form must be
-    /// O(round lookup), not a scan of the whole pruned set.
-    pruned_by_round: BTreeMap<Round, ProcessSet>,
+    vertices: VertexMap<Vertex<B>>,
+    /// Identities garbage-collected after delivery, one row of sources per
+    /// round — the id test of insertion and the per-round set of round
+    /// advancement alike. A missing parent is tolerated on insert **iff its
+    /// exact id is recorded here** — a round-based floor would also excuse
+    /// a slow old vertex this process simply never received, silently
+    /// breaking delivery completeness.
+    pruned: VertexSet,
     /// Highest round of any pruned vertex (`0` = nothing pruned) — the
     /// metadata the snapshot marker and the recovery fetch floor use.
     pruned_floor: Round,
@@ -82,13 +87,7 @@ pub struct DagStore<B> {
 impl<B> DagStore<B> {
     /// Creates an empty store (no genesis).
     pub fn new() -> Self {
-        DagStore {
-            rounds: BTreeMap::new(),
-            len: 0,
-            pruned: HashSet::new(),
-            pruned_by_round: BTreeMap::new(),
-            pruned_floor: 0,
-        }
+        DagStore { vertices: VertexMap::new(), pruned: VertexSet::new(), pruned_floor: 0 }
     }
 
     /// Creates a store pre-populated with round-0 genesis vertices for all
@@ -109,17 +108,17 @@ impl<B> DagStore<B> {
 
     /// Number of stored vertices.
     pub fn len(&self) -> usize {
-        self.len
+        self.vertices.len()
     }
 
     /// `true` if no vertex is stored.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.vertices.is_empty()
     }
 
     /// Highest round containing at least one vertex (`None` when empty).
     pub fn max_round(&self) -> Option<Round> {
-        self.rounds.iter().rev().find(|(_, m)| !m.is_empty()).map(|(r, _)| *r)
+        self.vertices.last_round()
     }
 
     /// The pruning floor: the highest round of any garbage-collected
@@ -132,7 +131,7 @@ impl<B> DagStore<B> {
     /// `true` if this exact identity was garbage-collected after delivery
     /// (its content can never be needed again).
     pub fn is_pruned(&self, id: VertexId) -> bool {
-        self.pruned.contains(&id)
+        self.pruned.contains(id)
     }
 
     /// Number of pruned identities recorded.
@@ -147,7 +146,6 @@ impl<B> DagStore<B> {
     pub fn note_pruned(&mut self, id: VertexId) {
         self.pruned_floor = self.pruned_floor.max(id.round);
         self.pruned.insert(id);
-        self.pruned_by_round.entry(id.round).or_default().insert(id.source);
     }
 
     /// Ratchets the floor metadata without recording an id — used when
@@ -227,49 +225,40 @@ impl<B> DagStore<B> {
     /// Pruned parents count as present: they were delivered and
     /// garbage-collected.
     fn missing_parent(&self, vertex: &Vertex<B>) -> Option<VertexId> {
-        vertex.parents().find(|p| !self.contains(*p) && !self.pruned.contains(p))
+        vertex.parents().find(|p| !self.contains(*p) && !self.pruned.contains(*p))
     }
 
     fn store(&mut self, vertex: Vertex<B>, on_insert: impl FnOnce(&Vertex<B>)) {
-        let id = vertex.id();
-        let slot = self.rounds.entry(id.round).or_default().entry(id.source).or_insert(vertex);
-        self.len += 1;
-        on_insert(slot);
+        on_insert(self.vertices.get_or_insert_with(vertex.id(), || vertex));
     }
 
     /// Removes a vertex without recording it as pruned (prefer
     /// [`DagStore::prune`] for garbage collection — children referencing a
     /// plainly-removed vertex will no longer insert).
     pub fn remove(&mut self, id: VertexId) -> Option<Vertex<B>> {
-        let slot = self.rounds.get_mut(&id.round)?;
-        let v = slot.remove(&id.source)?;
-        if slot.is_empty() {
-            self.rounds.remove(&id.round);
-        }
-        self.len -= 1;
-        Some(v)
+        self.vertices.remove(id)
     }
 
     /// `true` if the identified vertex is stored.
     pub fn contains(&self, id: VertexId) -> bool {
-        self.rounds.get(&id.round).is_some_and(|m| m.contains_key(&id.source))
+        self.vertices.contains(id)
     }
 
     /// Fetches a vertex by identity.
     pub fn get(&self, id: VertexId) -> Option<&Vertex<B>> {
-        self.rounds.get(&id.round).and_then(|m| m.get(&id.source))
+        self.vertices.get(id)
     }
 
     /// The sources with a vertex in `round`.
     pub fn sources_in_round(&self, round: Round) -> ProcessSet {
-        self.rounds.get(&round).map(|m| m.keys().copied().collect()).unwrap_or_default()
+        self.vertices.sources_in_round(round).cloned().unwrap_or_default()
     }
 
     /// The sources whose round-`round` vertex was garbage-collected after
     /// delivery — the floor-aware complement of
     /// [`DagStore::sources_in_round`].
     pub fn pruned_sources_in_round(&self, round: Round) -> ProcessSet {
-        self.pruned_by_round.get(&round).cloned().unwrap_or_default()
+        self.pruned.sources_in_round(round).cloned().unwrap_or_default()
     }
 
     /// The sources of round-`round` vertices that are either stored **or**
@@ -280,23 +269,26 @@ impl<B> DagStore<B> {
     /// every peer holds it as present-or-pruned too.
     pub fn sources_in_round_or_pruned(&self, round: Round) -> ProcessSet {
         let mut s = self.sources_in_round(round);
-        s.union_with(&self.pruned_sources_in_round(round));
+        if let Some(pruned) = self.pruned.sources_in_round(round) {
+            s.union_with(pruned);
+        }
         s
     }
 
     /// Iterates over the vertices of `round` in source order.
     pub fn vertices_in_round(&self, round: Round) -> impl Iterator<Item = &Vertex<B>> {
-        self.rounds.get(&round).into_iter().flat_map(|m| m.values())
+        self.vertices.values_in_round(round)
     }
 
     /// Iterates over the stored vertices of `rounds` in `(round, source)`
-    /// order, visiting only rounds that hold a vertex — so a pruned DAG is
-    /// walked at the cost of what it stores, not of its height.
+    /// order, visiting only the rounds between the lowest and the highest
+    /// stored one — so a pruned DAG is walked at the cost of the window it
+    /// stores, not of its height.
     pub fn vertices_in_rounds(
         &self,
         rounds: impl RangeBounds<Round>,
     ) -> impl Iterator<Item = &Vertex<B>> {
-        self.rounds.range(rounds).flat_map(|(_, m)| m.values())
+        self.vertices.range(rounds).map(|(_, v)| v)
     }
 
     /// `true` if there is a path from `from` to `to` following **strong edges
@@ -314,11 +306,9 @@ impl<B> DagStore<B> {
         let mut round = from.round;
         while round > to.round {
             let mut next = ProcessSet::new();
-            if let Some(m) = self.rounds.get(&round) {
-                for s in &frontier {
-                    if let Some(v) = m.get(&s) {
-                        next.union_with(v.strong_edges());
-                    }
+            for s in &frontier {
+                if let Some(v) = self.get(VertexId::new(round, s)) {
+                    next.union_with(v.strong_edges());
                 }
             }
             if next.is_empty() {
@@ -343,11 +333,9 @@ impl<B> DagStore<B> {
         let mut round = from.round;
         while round > target_round {
             let mut next = ProcessSet::new();
-            if let Some(m) = self.rounds.get(&round) {
-                for s in &frontier {
-                    if let Some(v) = m.get(&s) {
-                        next.union_with(v.strong_edges());
-                    }
+            for s in &frontier {
+                if let Some(v) = self.get(VertexId::new(round, s)) {
+                    next.union_with(v.strong_edges());
                 }
             }
             frontier = next;
@@ -368,7 +356,7 @@ impl<B> DagStore<B> {
         if from.round <= to.round {
             return false;
         }
-        let mut seen: HashSet<VertexId> = HashSet::new();
+        let mut seen = VertexSet::new();
         let mut queue: VecDeque<VertexId> = VecDeque::new();
         queue.push_back(from);
         seen.insert(from);
@@ -392,7 +380,7 @@ impl<B> DagStore<B> {
     /// are named but not expanded. The rider does not call it — its walks
     /// visit only what is new — but tests compare those walks against it.
     pub fn causal_history(&self, from: VertexId) -> Vec<VertexId> {
-        let mut seen: HashSet<VertexId> = HashSet::new();
+        let mut seen = VertexSet::new();
         if self.contains(from) {
             seen.insert(from);
             let mut stack = vec![from];
@@ -405,9 +393,7 @@ impl<B> DagStore<B> {
                 }
             }
         }
-        let mut out: Vec<VertexId> = seen.into_iter().collect();
-        out.sort();
-        out
+        seen.iter().collect()
     }
 }
 
@@ -599,6 +585,80 @@ mod tests {
             dag.causal_history(vid(3, 0)),
             vec![vid(1, 0), vid(1, 1), vid(1, 2), vid(2, 0), vid(2, 1), vid(3, 0)]
         );
+    }
+
+    /// The pruned and stored queries against a model of two id sets, over
+    /// random insert / prune / `note_pruned` / remove sequences.
+    #[test]
+    fn pruned_and_stored_queries_match_a_model() {
+        use rand::rngs::SmallRng;
+        use rand::{RngExt, SeedableRng};
+        use std::collections::BTreeSet;
+
+        fn check(dag: &DagStore<u64>, stored: &BTreeSet<VertexId>, pruned: &BTreeSet<VertexId>) {
+            let in_round = |set: &BTreeSet<VertexId>, r: Round| -> ProcessSet {
+                set.iter().filter(|id| id.round == r).map(|id| id.source).collect()
+            };
+            assert_eq!(dag.len(), stored.len());
+            assert_eq!(dag.max_round(), stored.last().map(|id| id.round));
+            assert_eq!(dag.pruned_len(), pruned.len());
+            assert_eq!(dag.pruned_floor(), pruned.last().map_or(0, |id| id.round));
+            for r in 0..=9 {
+                for s in 0..5 {
+                    assert_eq!(dag.is_pruned(vid(r, s)), pruned.contains(&vid(r, s)));
+                    assert_eq!(dag.contains(vid(r, s)), stored.contains(&vid(r, s)));
+                }
+                assert_eq!(dag.sources_in_round(r), in_round(stored, r));
+                assert_eq!(dag.pruned_sources_in_round(r), in_round(pruned, r));
+                let both = &in_round(stored, r) | &in_round(pruned, r);
+                assert_eq!(dag.sources_in_round_or_pruned(r), both);
+                for hi in r..=9 {
+                    let ids: Vec<VertexId> =
+                        dag.vertices_in_rounds(r..=hi).map(Vertex::id).collect();
+                    let model: Vec<VertexId> =
+                        stored.range(vid(r, 0)..vid(hi + 1, 0)).copied().collect();
+                    assert_eq!(ids, model, "rounds {r}..={hi}");
+                }
+            }
+        }
+
+        // A round that `remove` empties leaves no trace in any query.
+        let mut dag: DagStore<u64> = DagStore::new();
+        dag.insert(Vertex::new(pid(2), 3, 0, ProcessSet::new(), vec![])).unwrap();
+        dag.insert(Vertex::new(pid(0), 5, 0, ProcessSet::new(), vec![])).unwrap();
+        assert!(dag.remove(vid(5, 0)).is_some());
+        assert_eq!(dag.max_round(), Some(3));
+        assert!(dag.remove(vid(3, 2)).is_some());
+        check(&dag, &BTreeSet::new(), &BTreeSet::new());
+
+        for seed in 0..64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut dag: DagStore<u64> = DagStore::new();
+            let (mut stored, mut pruned) = (BTreeSet::new(), BTreeSet::new());
+            for _ in 0..80 {
+                let id = vid(rng.random_range(0..10), rng.random_range(0..5));
+                match rng.random_range(0..4u8) {
+                    0 => {
+                        // Edge-free, so every identity inserts unless taken.
+                        let v = Vertex::new(id.source, id.round, 0, ProcessSet::new(), vec![]);
+                        assert_eq!(dag.insert(v).is_ok(), stored.insert(id));
+                    }
+                    1 => {
+                        let was_stored = stored.remove(&id);
+                        assert_eq!(dag.prune(id).is_some(), was_stored);
+                        if was_stored {
+                            pruned.insert(id);
+                        }
+                    }
+                    2 => {
+                        dag.note_pruned(id);
+                        pruned.insert(id);
+                    }
+                    _ => assert_eq!(dag.remove(id).is_some(), stored.remove(&id)),
+                }
+                check(&dag, &stored, &pruned);
+            }
+        }
     }
 
     #[test]

@@ -100,6 +100,9 @@ pub struct Simulation<P: Protocol, S> {
     faults: Vec<FaultMode>,
     deliveries: Vec<u64>,
     recovered: Vec<bool>,
+    /// The [`FaultMode::RestartAfter`] processes not yet recovered, in
+    /// ascending order — the only ones a step checks for a due recovery.
+    awaiting_restart: Vec<usize>,
     steps_done: u64,
     pending: Vec<InFlight<P::Msg>>,
     scheduler: S,
@@ -128,6 +131,7 @@ impl<P: Protocol, S: Scheduler<P::Msg>> Simulation<P, S> {
             faults: vec![FaultMode::Correct; n],
             deliveries: vec![0; n],
             recovered: vec![false; n],
+            awaiting_restart: Vec::new(),
             steps_done: 0,
             pending: Vec::new(),
             scheduler,
@@ -145,10 +149,8 @@ impl<P: Protocol, S: Scheduler<P::Msg>> Simulation<P, S> {
     /// # Panics
     ///
     /// Panics if called after the simulation has started.
-    pub fn with_fault(mut self, p: ProcessId, mode: FaultMode) -> Self {
-        assert!(!self.started, "fault plan must be fixed before the run starts");
-        self.faults[p.index()] = mode;
-        self
+    pub fn with_fault(self, p: ProcessId, mode: FaultMode) -> Self {
+        self.with_faults([(p, mode)])
     }
 
     /// Applies a whole fault plan — `(process, mode)` assignments — at once
@@ -162,6 +164,9 @@ impl<P: Protocol, S: Scheduler<P::Msg>> Simulation<P, S> {
         for (p, mode) in plan {
             self.faults[p.index()] = mode;
         }
+        self.awaiting_restart = (0..self.n())
+            .filter(|&i| matches!(self.faults[i], FaultMode::RestartAfter { .. }))
+            .collect();
         self
     }
 
@@ -246,20 +251,28 @@ impl<P: Protocol, S: Scheduler<P::Msg>> Simulation<P, S> {
     /// Fires [`Protocol::on_recover`] for every crashed [`FaultMode::RestartAfter`]
     /// process whose `recover_at` step has been reached.
     fn fire_due_recoveries(&mut self) {
-        for i in 0..self.n() {
+        let mut k = 0;
+        while let Some(&i) = self.awaiting_restart.get(k) {
             let FaultMode::RestartAfter { crash_at, recover_at } = self.faults[i] else {
-                continue;
+                unreachable!("only restartable processes await a restart");
             };
-            if self.recovered[i] || self.deliveries[i] < crash_at || self.steps_done < recover_at {
+            if self.deliveries[i] < crash_at || self.steps_done < recover_at {
+                k += 1;
                 continue;
             }
-            self.recover_process(i);
+            self.recover_process(i); // drops `i` from the list at `k`
         }
     }
 
     fn recover_process(&mut self, i: usize) {
         self.recovered[i] = true;
+        self.awaiting_restart.retain(|&j| j != i);
         self.call(i, |p, ctx| p.on_recover(ctx));
+    }
+
+    /// The first process awaiting its restart that is down right now.
+    fn down_awaiting_restart(&self) -> Option<usize> {
+        self.awaiting_restart.iter().copied().find(|&i| self.is_silent(i))
     }
 
     /// Runs one callback of process `i` against the shared send buffer and
@@ -277,12 +290,7 @@ impl<P: Protocol, S: Scheduler<P::Msg>> Simulation<P, S> {
     /// "eventually the operator brings the node back". Returns `true` if a
     /// recovery fired.
     fn force_pending_recovery(&mut self) -> bool {
-        let due = (0..self.n()).find(|i| {
-            matches!(self.faults[*i], FaultMode::RestartAfter { .. })
-                && !self.recovered[*i]
-                && self.is_silent(*i)
-        });
-        match due {
+        match self.down_awaiting_restart() {
             Some(i) => {
                 self.recover_process(i);
                 true
@@ -404,11 +412,7 @@ impl<P: Protocol, S: Scheduler<P::Msg>> Simulation<P, S> {
 
     fn step_would_progress(&mut self) -> bool {
         self.scheduler.next(&self.pending, self.now).is_some()
-            || (0..self.n()).any(|i| {
-                matches!(self.faults[i], FaultMode::RestartAfter { .. })
-                    && !self.recovered[i]
-                    && self.is_silent(i)
-            })
+            || self.down_awaiting_restart().is_some()
     }
 
     /// Runs until `pred` holds (checked after every delivery) or the budget

@@ -19,7 +19,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
 
-use asym_dag::{DagError, DagStore, Round, Vertex, VertexId, WaveId};
+use asym_dag::{DagError, DagStore, Round, Vertex, VertexId, VertexSet, WaveId};
 use asym_quorum::ProcessId;
 
 use crate::backend::{Storage, StorageError};
@@ -420,39 +420,46 @@ impl<B: BlockCodec + Clone> RecoveredState<B> {
             torn_tail_bytes: read.torn_tail_bytes,
             unsealed: Unsealed::default(),
         };
-        // Pre-pass: reconstruct the pruned set. An id the log *delivers*
-        // but never *inserts* was garbage-collected after delivery — its
+        // Pre-pass: reconstruct the pruned set. A vertex that is delivered
+        // but not stored was garbage-collected after delivery — its
         // children must still insert, and only those exact ids may be
         // excused (a round-based floor would also excuse vertices this
-        // process simply never received).
+        // process simply never received). That holds at two points: after
+        // the sealed area and the snapshot (what the snapshot pruned), and
+        // after the whole log (what an install delivered without the
+        // vertex). The first point matters when the snapshot's log was not
+        // truncated: the log re-inserts what the snapshot pruned, and that
+        // id is still pruned.
         {
-            let mut inserted = BTreeSet::new();
-            let mut delivered_ids = BTreeSet::new();
-            for event in &read.events {
+            let before_log = read.from_sealed + read.from_snapshot;
+            let mut inserted = VertexSet::new();
+            let mut delivered = VertexSet::new();
+            for (i, event) in read.events.iter().enumerate() {
+                if i == before_log {
+                    note_unstored_as_pruned(&mut state.dag, &delivered, &inserted);
+                }
                 match event {
                     DagEvent::VertexInserted(v) => {
                         inserted.insert(v.id());
                     }
                     DagEvent::BlockDelivered { id, .. } => {
-                        delivered_ids.insert(*id);
+                        delivered.insert(*id);
                     }
                     DagEvent::WaveSealed { deliveries, .. } => {
-                        delivered_ids.extend(deliveries.iter().map(|(id, _)| *id));
+                        delivered.extend(deliveries.iter().map(|(id, _)| *id));
                     }
                     _ => {}
                 }
             }
-            for id in delivered_ids.difference(&inserted) {
-                if id.round > 0 {
-                    state.dag.note_pruned(*id);
-                }
-            }
+            note_unstored_as_pruned(&mut state.dag, &delivered, &inserted);
         }
         for (i, event) in read.events.iter().enumerate() {
             let fresh = match event {
                 DagEvent::VertexInserted(v) => {
-                    if v.round() == 0 {
-                        continue; // genesis is hard-coded, never logged
+                    // Genesis is hard-coded, never logged; a pruned vertex
+                    // stays pruned.
+                    if v.round() == 0 || state.dag.is_pruned(v.id()) {
+                        continue;
                     }
                     match state.dag.insert(v.clone()) {
                         Ok(()) => {
@@ -568,6 +575,14 @@ impl<B: BlockCodec + Clone> RecoveredState<B> {
             self.delivered_blocks.insert(v.id(), v.into_block());
         }
         self.pruned_round = self.dag.pruned_floor();
+    }
+}
+
+/// Records as pruned in `dag` every non-genesis id of `delivered` that is
+/// not in `inserted`.
+fn note_unstored_as_pruned<B>(dag: &mut DagStore<B>, delivered: &VertexSet, inserted: &VertexSet) {
+    for id in delivered.range(1..).filter(|id| !inserted.contains(*id)) {
+        dag.note_pruned(id);
     }
 }
 
@@ -740,6 +755,36 @@ mod tests {
         // The round-9 vertex inserted although its round-8 parents are in
         // the snapshot and its pruned ancestry is gone — floor semantics.
         assert!(re.dag.get(VertexId::new(9, pid(1))).is_some());
+    }
+
+    #[test]
+    fn pruned_snapshot_next_to_its_untruncated_log_replays() {
+        // A reordered snapshot rename: the pruned snapshot persisted but
+        // the truncation of the log it compacted did not, so the log
+        // re-inserts rounds 1-4 after the snapshot's round-5 children of
+        // them. They stay pruned, and the state is the compacted one.
+        let mut log = populated_log(8);
+        for r in 1..=4u64 {
+            for i in (0..4).filter(|&i| (r, i) != (1, 2)) {
+                log.append(&DagEvent::BlockDelivered { id: VertexId::new(r, pid(i)), wave: 1 })
+                    .unwrap();
+            }
+        }
+        let old_log = log.backend().log_bytes().to_vec();
+        let mut state = log.replay(4, pid(1), Vec::new()).unwrap();
+        state.prune_delivered(4);
+        let residue = state.delivered_blocks.clone();
+        log.compact(&state.dag, |id| residue.get(&id).cloned()).unwrap();
+        log.backend_mut().append_log_raw(&old_log);
+        let re = log.replay(4, pid(1), Vec::new()).unwrap();
+        assert_eq!(re.dag.len(), 4 + 16, "genesis + rounds 5..=8");
+        assert_eq!(re.dag.pruned_len(), 16);
+        assert!(re.dag.is_pruned(VertexId::new(4, pid(0))));
+        assert!(!re.dag.contains(VertexId::new(4, pid(0))), "the log's copy is not re-inserted");
+        assert_eq!(re.delivered, state.delivered);
+        assert_eq!(re.delivered_blocks, state.delivered_blocks);
+        assert_eq!(re.commit_log, state.commit_log);
+        assert_eq!(re.own_round, 8);
     }
 
     #[test]

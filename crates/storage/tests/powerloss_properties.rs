@@ -245,9 +245,9 @@ enum Rename {
 /// under the fsync discipline, and checks the damaged replay against the
 /// prefix oracle. The second compaction seals wave 2 *after* the first
 /// snapshot, so reverting the second rename leaves a sealed wave newer
-/// than the snapshot that comes back. Returns the rename fault applied and
-/// whether the damaged store replayed (a hard error is the other legal
-/// outcome).
+/// than the snapshot that comes back, and reordering it leaves the pruned
+/// snapshot next to the log it should have truncated. Returns the rename
+/// fault applied and whether the damaged store replayed.
 fn seal_revert_and_replay<S: Storage + Clone>(
     backend: S,
     seed: u64,
@@ -280,7 +280,6 @@ fn seal_revert_and_replay<S: Storage + Clone>(
     } else {
         Rename::Kept
     };
-    // A hard error is a legal outcome: the process fail-stops.
     let Ok(damaged) = log.replay(3, pid(0), Vec::new()) else { return (rename, false) };
     assert_eq!(damaged.sealed_wave, 2, "seed {seed}: the sealed area is a barrier");
     assert!(
@@ -290,14 +289,14 @@ fn seal_revert_and_replay<S: Storage + Clone>(
     (rename, true)
 }
 
-/// Both rename faults must have fired; a lost rename must also have
-/// replayed. (A reordered one next to a pruned snapshot currently replays
-/// to a hard error: the log tail re-inserts a vertex the snapshot pruned,
-/// after that snapshot's children of it.)
+/// Both rename faults must have fired, and every damaged store must have
+/// replayed to a prefix — a reordered rename too, although its log
+/// re-inserts vertices the pruned snapshot next to it garbage-collected.
 fn assert_both_rename_faults(seen: &[(Rename, bool)]) {
+    assert!(seen.iter().all(|(_, replayed)| *replayed), "a damaged store failed: {seen:?}");
     assert!(seen.contains(&(Rename::Lost, true)), "no seed lost the second rename: {seen:?}");
     assert!(
-        seen.iter().any(|(r, _)| *r == Rename::Reordered),
+        seen.contains(&(Rename::Reordered, true)),
         "no seed reordered the second rename: {seen:?}"
     );
 }
